@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race stress lint lint-self vet bench fault chaos
+.PHONY: all build test race stress lint lint-perf lint-self vet bench bench-e2e fault chaos
 
 all: build lint test
 
@@ -73,3 +73,10 @@ chaos:
 # concurrent shards×cpu throughput sweep).
 bench:
 	$(GO) run ./cmd/e2nvm-bench -kvbench -out BENCH_PR9.json
+
+# The repo's end-to-end benchmark (bench/, declared in BENCHMARK.json) in
+# its short form: every workload once with the traced per-layer pass, every
+# read checked against a shadow map. Numbers from -quick are a smoke
+# signal, not a baseline; see bench/README.md for the full runs.
+bench-e2e:
+	$(GO) run ./bench -quick

@@ -6,14 +6,15 @@ import (
 	"e2nvm/internal/shard"
 )
 
-// This file is the facade's read-side integration of the hot-key cache
-// (internal/hotcache). The write side is in the Put/PutBatch/Delete
-// methods: every write invalidates the key after the store write and
-// before returning, so an acknowledged write can never be shadowed by a
-// stale cached value. Replication events below the facade — failover
-// replays acknowledged writes, live migration copies records verbatim —
-// never change a key's value, so facade-level invalidation is sufficient
-// even on a replicated store.
+// This file is the facade's integration of the hot-key cache
+// (internal/hotcache): cachedKV wraps the serving surface once at open when
+// Config.CacheEnabled, and nothing else in the facade knows a cache exists.
+// Every write invalidates the key after the store write and before
+// returning, so an acknowledged write can never be shadowed by a stale
+// cached value. Replication events below the wrapper — failover replays
+// acknowledged writes, live migration copies records verbatim — never
+// change a key's value, so invalidation at this level is sufficient even
+// on a replicated store.
 
 // cacheKeyTemp bridges the cache's hotness statistics into the placement
 // policy (kvstore.Options.KeyTemp): hot keys — by total touch frequency,
@@ -34,49 +35,62 @@ func cacheKeyTemp(c *hotcache.Cache) func(uint64) dap.Temp {
 	}
 }
 
-// uncachedGetInto is the pre-cache read path: route to the replica
-// cluster or the shard router.
-func (s *Store) uncachedGetInto(key uint64, dst []byte) ([]byte, bool, error) {
-	if s.cluster != nil {
-		return s.cluster.GetInto(key, dst)
-	}
-	return s.router.GetInto(key, dst)
+// cachedKV is the hot-key cache as a wrapper over the serving surface:
+// reads try the cache first and fill it on a miss, writes pass through and
+// then invalidate.
+type cachedKV struct {
+	next  kv
+	cache *hotcache.Cache
 }
 
-func (s *Store) uncachedGetBatch(keys []uint64, dsts [][]byte, oks []bool, errs []error) error {
-	if s.cluster != nil {
-		return s.clusterGetBatch(keys, dsts, oks, errs)
-	}
-	return s.router.GetBatch(keys, dsts, oks, errs)
+func (c cachedKV) Put(key uint64, value []byte) error {
+	err := c.next.Put(key, value)
+	c.cache.Invalidate(key)
+	return err
 }
 
-// cachedGetInto serves key from the cache when possible; a miss reads the
-// store under a fill token taken before the store read, so a fill racing
-// a concurrent write self-demotes instead of caching a stale value (see
-// the hotcache package docs for the full protocol).
-func (s *Store) cachedGetInto(key uint64, dst []byte) ([]byte, bool, error) {
-	if v, ok := s.cache.GetInto(key, dst); ok {
+func (c cachedKV) PutBatch(keys []uint64, values [][]byte, errs []error) error {
+	err := c.next.PutBatch(keys, values, errs)
+	// Invalidate every written key before the batch is acknowledged.
+	for _, k := range keys {
+		c.cache.Invalidate(k)
+	}
+	return err
+}
+
+func (c cachedKV) Delete(key uint64) (bool, error) {
+	ok, err := c.next.Delete(key)
+	c.cache.Invalidate(key)
+	return ok, err
+}
+
+// GetInto serves key from the cache when possible; a miss reads the store
+// under a fill token taken before the store read, so a fill racing a
+// concurrent write self-demotes instead of caching a stale value (see the
+// hotcache package docs for the full protocol).
+func (c cachedKV) GetInto(key uint64, dst []byte) ([]byte, bool, error) {
+	if v, ok := c.cache.GetInto(key, dst); ok {
 		return v, true, nil
 	}
-	token := s.cache.BeginFill(key)
-	v, ok, err := s.uncachedGetInto(key, dst)
+	token := c.cache.BeginFill(key)
+	v, ok, err := c.next.GetInto(key, dst)
 	if err != nil || !ok {
 		return v, ok, err
 	}
-	s.cache.CompleteFill(key, v, token)
+	c.cache.CompleteFill(key, v, token)
 	return v, true, nil
 }
 
-// cachedGetBatch serves what it can from the cache and reads only the
-// missing keys from the store in one underlying batch, filling them back
-// under per-key tokens.
-func (s *Store) cachedGetBatch(keys []uint64, dsts [][]byte, oks []bool, errs []error) error {
+// GetBatch serves what it can from the cache and reads only the missing
+// keys from the store in one underlying batch, filling them back under
+// per-key tokens.
+func (c cachedKV) GetBatch(keys []uint64, dsts [][]byte, oks []bool, errs []error) error {
 	if len(dsts) != len(keys) || len(oks) != len(keys) || (errs != nil && len(errs) != len(keys)) {
 		return shard.ErrBadBatch
 	}
 	var missIdx []int
 	for i, k := range keys {
-		if v, ok := s.cache.GetInto(k, dsts[i]); ok {
+		if v, ok := c.cache.GetInto(k, dsts[i]); ok {
 			dsts[i], oks[i] = v, true
 			if errs != nil {
 				errs[i] = nil
@@ -99,16 +113,16 @@ func (s *Store) cachedGetBatch(keys []uint64, dsts [][]byte, oks []bool, errs []
 	for j, i := range missIdx {
 		mKeys[j] = keys[i]
 		mDsts[j] = dsts[i]
-		tokens[j] = s.cache.BeginFill(keys[i])
+		tokens[j] = c.cache.BeginFill(keys[i])
 	}
-	err := s.uncachedGetBatch(mKeys, mDsts, mOks, mErrs)
+	err := c.next.GetBatch(mKeys, mDsts, mOks, mErrs)
 	for j, i := range missIdx {
 		dsts[i], oks[i] = mDsts[j], mOks[j]
 		if errs != nil {
 			errs[i] = mErrs[j]
 		}
 		if mOks[j] && (mErrs == nil || mErrs[j] == nil) {
-			s.cache.CompleteFill(mKeys[j], mDsts[j], tokens[j])
+			c.cache.CompleteFill(mKeys[j], mDsts[j], tokens[j])
 		}
 	}
 	return err

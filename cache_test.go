@@ -305,7 +305,7 @@ func TestChaosCacheFailoverNoStaleReads(t *testing.T) {
 	// Cached reads must agree with the store byte for byte.
 	for _, k := range k0 {
 		cv, cok, cerr := s.Get(k)
-		uv, uok, uerr := s.uncachedGetInto(k, nil)
+		uv, uok, uerr := s.router.GetInto(k, nil)
 		if cerr != nil || uerr != nil || cok != uok || !bytes.Equal(cv, uv) {
 			t.Fatalf("cache/store divergence on %d: (%q,%v,%v) vs (%q,%v,%v)", k, cv, cok, cerr, uv, uok, uerr)
 		}

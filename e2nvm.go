@@ -368,12 +368,24 @@ func (c Config) storeOptions(placement kvstore.Placement, keyTemp func(uint64) d
 // live keyspace migration (see Replication). All methods are safe for
 // concurrent use.
 type Store struct {
-	router  *shard.Router
-	cluster *replica.Cluster // non-nil iff ReplicationFactor > 1; replaces router
-	cache   *hotcache.Cache  // non-nil iff Config.CacheEnabled; fronts all reads
-	shards  []*kvstore.Store // the original leaders, for per-shard inspection
+	kv      kv               // point and batch serving: router, or the hot cache around it
+	router  *shard.Router    // the one serving stack, over plain stores or replica groups
+	cluster *replica.Cluster // non-nil iff ReplicationFactor > 1; owns the groups under router
+	cache   *hotcache.Cache  // non-nil iff Config.CacheEnabled
+	shards  []*kvstore.Store // the original leaders, for model and geometry inspection
 	devs    []*nvm.Device    // devs[i] is shard i's original leader device
 	starts  []int            // global segment ranges: shard i owns [starts[i], starts[i+1])
+}
+
+// kv is the surface the facade's point and batch operations are served
+// through; shard.Router satisfies it, and so does the cache wrapped around
+// one (cachedKV).
+type kv interface {
+	Put(key uint64, value []byte) error
+	PutBatch(keys []uint64, values [][]byte, errs []error) error
+	GetInto(key uint64, dst []byte) ([]byte, bool, error)
+	GetBatch(keys []uint64, dsts [][]byte, oks []bool, errs []error) error
+	Delete(key uint64) (bool, error)
 }
 
 // Open creates the simulated PCM device(s), seeds their contents, trains
@@ -449,18 +461,29 @@ func openShards(cfg Config, open func(i int, dev *nvm.Device, keyTemp func(uint6
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
+	s := &Store{cache: cache, shards: stores, devs: devs, starts: starts}
 	if cfg.ReplicationFactor > 1 {
 		cluster, err := cfg.newCluster(stores, starts, keyTemp)
 		if err != nil {
 			return nil, err
 		}
-		return &Store{cluster: cluster, cache: cache, shards: stores, devs: devs, starts: starts}, nil
+		s.cluster, s.router = cluster, cluster.Router
+	} else {
+		plain := make([]shard.Shard, len(stores))
+		for i, st := range stores {
+			plain[i] = st
+		}
+		router, err := shard.New(plain)
+		if err != nil {
+			return nil, err
+		}
+		s.router = router
 	}
-	router, err := shard.New(stores)
-	if err != nil {
-		return nil, err
+	s.kv = s.router
+	if cache != nil {
+		s.kv = cachedKV{next: s.router, cache: cache}
 	}
-	return &Store{router: router, cache: cache, shards: stores, devs: devs, starts: starts}, nil
+	return s, nil
 }
 
 // Put stores value under key (the paper's PUT/UPDATE write path), routed
@@ -470,120 +493,62 @@ func openShards(cfg Config, open func(i int, dev *nvm.Device, keyTemp func(uint6
 // is invalidated after the store write and before Put returns, so a
 // return from Put is the acknowledgement after which no read can serve
 // the overwritten value.
-func (s *Store) Put(key uint64, value []byte) error {
-	var err error
-	if s.cluster != nil {
-		err = s.cluster.Put(key, value)
-	} else {
-		err = s.router.Put(key, value)
-	}
-	if s.cache != nil {
-		s.cache.Invalidate(key)
-	}
-	return err
-}
+func (s *Store) Put(key uint64, value []byte) error { return s.kv.Put(key, value) }
 
 // PutBatch stores len(keys) key/value pairs in one call: keys group per
-// shard (SplitMix64, no extra allocations), each shard's lock is taken
-// once for its whole sub-batch, and model inference runs on the kernel's
-// blocked multi-sample path (DESIGN.md §11). values must be index-aligned
-// with keys. Pairs apply in index order — a later duplicate key wins,
-// exactly as sequential Puts would — and one pair's failure does not
-// abort the rest; the returned error is the first failure by index. Pass
-// errs (same length) to receive per-item outcomes, or nil to skip them.
+// shard (SplitMix64, no extra allocations), each shard is entered once for
+// its whole sub-batch, and on an unreplicated shard model inference runs
+// on the kernel's blocked multi-sample path (DESIGN.md §11). values must
+// be index-aligned with keys. Pairs apply in index order — a later
+// duplicate key wins, exactly as sequential Puts would — and one pair's
+// failure does not abort the rest; the returned error is the first failure
+// by index. Pass errs (same length) to receive per-item outcomes, or nil
+// to skip them.
 func (s *Store) PutBatch(keys []uint64, values [][]byte, errs []error) error {
-	var err error
-	if s.cluster != nil {
-		err = s.clusterPutBatch(keys, values, errs)
-	} else {
-		err = s.router.PutBatch(keys, values, errs)
-	}
-	if s.cache != nil {
-		// Invalidate every written key before the batch is acknowledged.
-		for _, k := range keys {
-			s.cache.Invalidate(k)
-		}
-	}
-	return err
+	return s.kv.PutBatch(keys, values, errs)
 }
 
 // GetBatch reads len(keys) values in one call, grouping keys per shard so
-// each shard's lock is taken once. Value i lands in dsts[i]'s backing
-// array (grown only when too small, like GetInto) with its liveness in
-// oks[i] — a missing key is oks[i] = false, not an error. dsts and oks
-// must be index-aligned with keys; errs, when non-nil, receives per-item
-// read errors, and the returned error is the first failure by index.
+// each shard is entered once. Value i lands in dsts[i]'s backing array
+// (grown only when too small, like GetInto) with its liveness in oks[i] —
+// a missing key is oks[i] = false, not an error. dsts and oks must be
+// index-aligned with keys; errs, when non-nil, receives per-item read
+// errors, and the returned error is the first failure by index.
 func (s *Store) GetBatch(keys []uint64, dsts [][]byte, oks []bool, errs []error) error {
-	if s.cache != nil {
-		return s.cachedGetBatch(keys, dsts, oks, errs)
-	}
-	return s.uncachedGetBatch(keys, dsts, oks, errs)
+	return s.kv.GetBatch(keys, dsts, oks, errs)
 }
 
 // Get returns the value stored under key as a fresh caller-owned copy.
-func (s *Store) Get(key uint64) ([]byte, bool, error) {
-	if s.cache != nil {
-		return s.cachedGetInto(key, nil)
-	}
-	return s.uncachedGetInto(key, nil)
-}
+func (s *Store) Get(key uint64) ([]byte, bool, error) { return s.kv.GetInto(key, nil) }
 
 // GetInto is Get writing the value into dst's backing array (grown only
 // when too small), for callers that reuse one buffer across reads. It
 // returns the resulting slice, which may share storage with dst. With the
 // cache enabled, a hot key is served straight from DRAM.
 func (s *Store) GetInto(key uint64, dst []byte) ([]byte, bool, error) {
-	if s.cache != nil {
-		return s.cachedGetInto(key, dst)
-	}
-	return s.uncachedGetInto(key, dst)
+	return s.kv.GetInto(key, dst)
 }
 
 // Delete removes key, recycling its segment into its shard's address pool.
 // Like Put, the cached value (if any) is invalidated before Delete returns.
-func (s *Store) Delete(key uint64) (bool, error) {
-	var ok bool
-	var err error
-	if s.cluster != nil {
-		ok, err = s.cluster.Delete(key)
-	} else {
-		ok, err = s.router.Delete(key)
-	}
-	if s.cache != nil {
-		s.cache.Invalidate(key)
-	}
-	return ok, err
-}
+func (s *Store) Delete(key uint64) (bool, error) { return s.kv.Delete(key) }
 
 // Scan visits keys in [lo, hi] in ascending order until fn returns false,
-// merging shards' ordered streams when sharded. The callback runs with no
-// store lock held, so it may call back into the store; the value slice is
-// only valid during the callback — copy it to retain it.
+// merging the shards' ordered streams. The callback runs with no store
+// lock held, so it may call back into the store; the value slice is only
+// valid during the callback — copy it to retain it.
 func (s *Store) Scan(lo, hi uint64, fn func(key uint64, value []byte) bool) error {
-	if s.cluster != nil {
-		return s.cluster.Scan(lo, hi, fn)
-	}
 	return s.router.Scan(lo, hi, fn)
 }
 
 // Len returns the number of live keys across all shards.
-func (s *Store) Len() int {
-	if s.cluster != nil {
-		return s.cluster.Len()
-	}
-	return s.router.Len()
-}
+func (s *Store) Len() int { return s.router.Len() }
 
 // MaxValue returns the largest storable value in bytes.
 func (s *Store) MaxValue() int { return s.shards[0].MaxValue() }
 
 // Shards returns the number of independent shards serving the keyspace.
-func (s *Store) Shards() int {
-	if s.cluster != nil {
-		return s.cluster.N()
-	}
-	return s.router.N()
-}
+func (s *Store) Shards() int { return s.router.N() }
 
 // Clusters returns the number of content clusters the model learned (the
 // first shard's; with elbow-selected K, shards may differ).
@@ -591,23 +556,13 @@ func (s *Store) Clusters() int { return s.shards[0].Model().K() }
 
 // NeedsRetrain reports whether any shard's cluster free list is running
 // low.
-func (s *Store) NeedsRetrain() bool {
-	if s.cluster != nil {
-		return s.cluster.NeedsRetrain()
-	}
-	return s.router.NeedsRetrain()
-}
+func (s *Store) NeedsRetrain() bool { return s.router.NeedsRetrain() }
 
 // Retrain synchronously retrains every shard's model on its device zone's
 // current contents (concurrently across shards) and rebuilds the address
 // pools. Serving continues while a shard retrains; see the kvstore layer
 // for the exact snapshot contract.
-func (s *Store) Retrain() error {
-	if s.cluster != nil {
-		return s.cluster.Retrain()
-	}
-	return s.router.Retrain()
-}
+func (s *Store) Retrain() error { return s.router.Retrain() }
 
 // Quiesce blocks until in-flight background work — every shard's async
 // retrain, and on a replicated store any live keyspace migration — has
@@ -702,66 +657,83 @@ func metricsFrom(ds nvm.Stats, ss kvstore.Stats) Metrics {
 	return m
 }
 
+// shardDevices returns every device that carries shard i's writes: its one
+// device, or — replicated — its whole replica set (leaders, followers and
+// dead replicas all spend real energy and wear).
+func (s *Store) shardDevices(i int) []*nvm.Device {
+	if s.cluster != nil {
+		return s.cluster.GroupDevices(i)
+	}
+	return s.devs[i : i+1]
+}
+
+// shardStats is the one fold behind every metrics view: shard i's device
+// counters summed over shardDevices, and the counters of the store
+// currently serving it (zero once the shard has drained).
+func (s *Store) shardStats(i int) (nvm.Stats, kvstore.Stats) {
+	var ds nvm.Stats
+	for _, dev := range s.shardDevices(i) {
+		ds.Add(dev.Stats())
+	}
+	var ss kvstore.Stats
+	if st := s.router.Serving(i); st != nil {
+		ss = st.Stats()
+	}
+	return ds, ss
+}
+
+// replStatus snapshots each shard's replication state; nil when
+// unreplicated, so callers range over it without asking.
+func (s *Store) replStatus() []replica.GroupStatus {
+	if s.cluster == nil {
+		return nil
+	}
+	return s.cluster.Status()
+}
+
+// cacheStats snapshots the hot-key cache counters; zero when disabled.
+func (s *Store) cacheStats() hotcache.Stats {
+	if s.cache == nil {
+		return hotcache.Stats{}
+	}
+	return s.cache.Stats()
+}
+
 // Metrics returns a snapshot of cumulative counters, aggregated over all
 // shards: sums for the additive counters, the maximum for
 // MaxSegmentWrites, a write-count-weighted mean for AvgWriteLatencyNs, and
 // total-flips/total-bits for FlipsPerDataBit. Use ShardMetrics for the
 // per-shard breakdown.
 func (s *Store) Metrics() Metrics {
-	if s.cluster != nil {
-		return s.clusterMetrics()
-	}
 	var ds nvm.Stats
 	var ss kvstore.Stats
-	for i, dev := range s.devs {
-		d := dev.Stats()
-		ds.Writes += d.Writes
-		ds.Reads += d.Reads
-		ds.BitsFlipped += d.BitsFlipped
-		ds.BitsWritten += d.BitsWritten
-		ds.EnergyPJ += d.EnergyPJ
-		ds.WriteLatencyNs += d.WriteLatencyNs
-		ds.LinesWritten += d.LinesWritten
-		ds.LinesSkipped += d.LinesSkipped
-		ds.WearLevelMoves += d.WearLevelMoves
-		ds.StuckBits += d.StuckBits
-		ds.FailedSegments += d.FailedSegments
-		if d.MaxSegmentWrites > ds.MaxSegmentWrites {
-			ds.MaxSegmentWrites = d.MaxSegmentWrites
-		}
-		st := s.shards[i].Stats()
-		ss.Fallbacks += st.Fallbacks
-		ss.Steered += st.Steered
-		ss.Retrains += st.Retrains
-		ss.WornWrites += st.WornWrites
-		ss.Retired += st.Retired
-		ss.Relocations += st.Relocations
+	for i := range s.devs {
+		d, st := s.shardStats(i)
+		ds.Add(d)
+		ss.Add(st)
 	}
 	m := metricsFrom(ds, ss)
-	s.addCacheMetrics(&m)
-	return m
-}
-
-// addCacheMetrics folds the hot-key cache counters into an aggregate
-// snapshot; a no-op when the cache is disabled.
-func (s *Store) addCacheMetrics(m *Metrics) {
-	if s.cache == nil {
-		return
+	for _, gs := range s.replStatus() {
+		m.Failovers += gs.Failovers
+		m.MigratedRecords += gs.Migrated
 	}
-	cs := s.cache.Stats()
+	cs := s.cacheStats()
 	m.CacheHits, m.CacheMisses, m.CacheEvictions = cs.Hits, cs.Misses, cs.Evictions
+	return m
 }
 
 // ShardMetrics returns each shard's own counter snapshot, index-aligned
 // with the shard layout (shard i serves the keys hashing to it and owns
-// global segments [i's zone]).
+// global segments [i's zone]). On a replicated store an entry covers the
+// shard's whole replica set — its true wear and energy bill — plus the
+// counters of whichever store still serves it.
 func (s *Store) ShardMetrics() []Metrics {
-	if s.cluster != nil {
-		return s.clusterShardMetrics()
-	}
 	out := make([]Metrics, len(s.devs))
-	for i, dev := range s.devs {
-		out[i] = metricsFrom(dev.Stats(), s.shards[i].Stats())
+	for i := range out {
+		out[i] = metricsFrom(s.shardStats(i))
+	}
+	for i, gs := range s.replStatus() {
+		out[i].Failovers, out[i].MigratedRecords = gs.Failovers, gs.Migrated
 	}
 	return out
 }
@@ -769,27 +741,24 @@ func (s *Store) ShardMetrics() []Metrics {
 // ResetMetrics zeroes the cumulative counters on every shard — the device
 // counters, the store-level ones (Fallbacks, Retrains, WornWrites,
 // RetiredSegments, Relocations, ...), the cache counters, and on a
-// replicated store the cluster's failover and migration counters — so
-// benchmarks that reset between phases measure only their own activity.
-// Content, wear state, and cache residency are preserved.
+// replicated store the failover and migration counters — so benchmarks
+// that reset between phases measure only their own activity. Content, wear
+// state, and cache residency are preserved.
 func (s *Store) ResetMetrics() {
+	for i := range s.devs {
+		for _, dev := range s.shardDevices(i) {
+			dev.ResetStats()
+		}
+		if st := s.router.Serving(i); st != nil {
+			st.ResetStats()
+		}
+	}
 	if s.cache != nil {
 		s.cache.ResetCounters()
 	}
 	if s.cluster != nil {
-		for _, dev := range s.cluster.Devices() {
-			dev.ResetStats()
-		}
-		for _, st := range s.cluster.ServingStores() {
-			st.ResetStats()
-		}
 		s.cluster.ResetCounters()
-		return
 	}
-	for _, dev := range s.devs {
-		dev.ResetStats()
-	}
-	s.router.ResetStats()
 }
 
 // BitWear returns a copy of the per-bit flip counters in global segment
@@ -798,9 +767,6 @@ func (s *Store) ResetMetrics() {
 // leader once the shard has drained); follower wear is aggregated in
 // Metrics.
 func (s *Store) BitWear() []uint32 {
-	if s.cluster == nil && len(s.devs) == 1 {
-		return s.devs[0].BitWear()
-	}
 	var out []uint32
 	for i := range s.devs {
 		w := s.servingDevice(i).BitWear()
@@ -815,9 +781,6 @@ func (s *Store) BitWear() []uint32 {
 // SegmentWrites returns per-segment write-operation counts in global
 // segment order (per serving device when replicated, like BitWear).
 func (s *Store) SegmentWrites() []uint64 {
-	if s.cluster == nil && len(s.devs) == 1 {
-		return s.devs[0].SegmentWrites()
-	}
 	var out []uint64
 	for i := range s.devs {
 		out = append(out, s.servingDevice(i).SegmentWrites()...)
@@ -825,23 +788,21 @@ func (s *Store) SegmentWrites() []uint64 {
 	return out
 }
 
-// servingDevice returns the device currently backing shard i: the
-// original leader device, or — replicated — whichever replica serves the
-// shard now, falling back to the original leader once the shard drained.
+// servingDevice returns the device currently backing shard i: whichever
+// replica serves the shard now, falling back to the original leader once
+// the shard has drained.
 func (s *Store) servingDevice(i int) *nvm.Device {
-	if s.cluster != nil {
-		if dev := s.cluster.LeaderDevice(i); dev != nil {
-			return dev
-		}
+	if st := s.router.Serving(i); st != nil {
+		return st.Device()
 	}
 	return s.devs[i]
 }
 
 // String summarizes the store configuration.
 func (s *Store) String() string {
-	if s.cluster != nil {
+	if rf := s.ReplicationFactor(); rf > 1 {
 		return fmt.Sprintf("e2nvm.Store{shards: %d, rf: %d, segments: %d×%dB, k: %d}",
-			len(s.devs), s.ReplicationFactor(), s.starts[len(s.starts)-1], s.devs[0].SegmentSize(), s.Clusters())
+			len(s.devs), rf, s.starts[len(s.starts)-1], s.devs[0].SegmentSize(), s.Clusters())
 	}
 	if len(s.devs) == 1 {
 		return fmt.Sprintf("e2nvm.Store{segments: %d×%dB, k: %d}",

@@ -100,22 +100,40 @@ func healthFrom(h kvstore.Health) Health {
 	}
 }
 
+// worstFollowerLag is the deepest follower backlog in one shard's replica
+// set.
+func worstFollowerLag(gs replica.GroupStatus) uint64 {
+	var lag uint64
+	for _, rs := range gs.Replicas {
+		if rs.Role == RoleFollower && rs.Lag > lag {
+			lag = rs.Lag
+		}
+	}
+	return lag
+}
+
 // Health reports the store's current capacity state, aggregated over all
 // shards. Degraded is true when any shard has crossed its threshold — keys
 // hashing to a degraded shard fail allocation even while others have room.
 // On a replicated store only the shards still serving contribute, and the
 // replication fields summarize failover and migration activity.
 func (s *Store) Health() Health {
-	var h Health
-	if s.cluster != nil {
-		h = s.clusterHealth()
-	} else {
-		h = healthFrom(s.router.Health())
+	var agg kvstore.Health
+	for i := range s.devs {
+		if st := s.router.Serving(i); st != nil {
+			agg.Add(st.Health())
+		}
 	}
-	if s.cache != nil {
-		cs := s.cache.Stats()
-		h.CacheEntries, h.CacheBytes = cs.Entries, cs.Bytes
+	h := healthFrom(agg)
+	for _, gs := range s.replStatus() {
+		h.Failovers += gs.Failovers
+		if gs.State == ShardDrained {
+			h.DrainedShards++
+		}
+		h.ReplicaLag = max(h.ReplicaLag, worstFollowerLag(gs))
 	}
+	cs := s.cacheStats()
+	h.CacheEntries, h.CacheBytes = cs.Entries, cs.Bytes
 	return h
 }
 
@@ -123,13 +141,14 @@ func (s *Store) Health() Health {
 // store each entry carries the shard's lifecycle state and follower lag; a
 // drained shard reports only those (its records now live on other shards).
 func (s *Store) ShardHealth() []Health {
-	if s.cluster != nil {
-		return s.clusterShardHealth()
+	out := make([]Health, len(s.devs))
+	for i := range out {
+		if st := s.router.Serving(i); st != nil {
+			out[i] = healthFrom(st.Health())
+		}
 	}
-	per := s.router.HealthPerShard()
-	out := make([]Health, len(per))
-	for i, h := range per {
-		out[i] = healthFrom(h)
+	for i, gs := range s.replStatus() {
+		out[i].State, out[i].Failovers, out[i].ReplicaLag = gs.State, gs.Failovers, worstFollowerLag(gs)
 	}
 	return out
 }
@@ -149,22 +168,8 @@ type ScrubReport struct {
 // across shards and each shard keeps its own sweep cursor. It is a no-op
 // when retirement is disabled.
 func (s *Store) Scrub(n int) (ScrubReport, error) {
-	if s.cluster != nil {
-		r, err := s.cluster.Scrub(n)
-		return ScrubReport{
-			Scanned:   r.Scanned,
-			Relocated: r.Relocated,
-			Retired:   r.Retired,
-			Lost:      r.Lost,
-		}, err
-	}
 	r, err := s.router.Scrub(n)
-	return ScrubReport{
-		Scanned:   r.Scanned,
-		Relocated: r.Relocated,
-		Retired:   r.Retired,
-		Lost:      r.Lost,
-	}, err
+	return ScrubReport(r), err
 }
 
 // shardOfSegment maps a global segment address to the device currently

@@ -35,7 +35,7 @@ func ShardParity(cfg RunConfig) (*Result, error) {
 	// sees the same per-shard load.
 	run := func(shards int) (float64, error) {
 		devs := make([]*nvm.Device, shards)
-		stores := make([]*kvstore.Store, shards)
+		stores := make([]shard.Shard, shards)
 		for i := range stores {
 			dev, err := nvm.NewDevice(nvm.DefaultConfig(segSize, segsPerShard))
 			if err != nil {

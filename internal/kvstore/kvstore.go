@@ -161,6 +161,21 @@ type Stats struct {
 	Relocations uint64
 }
 
+// Add folds o into s; it is the one place multi-store aggregates are
+// computed.
+func (s *Stats) Add(o Stats) {
+	s.Puts += o.Puts
+	s.Gets += o.Gets
+	s.Deletes += o.Deletes
+	s.Scans += o.Scans
+	s.Fallbacks += o.Fallbacks
+	s.Steered += o.Steered
+	s.Retrains += o.Retrains
+	s.WornWrites += o.WornWrites
+	s.Retired += o.Retired
+	s.Relocations += o.Relocations
+}
+
 // Store is the E2-NVM key/value store.
 type Store struct {
 	dev  *nvm.Device
@@ -438,6 +453,11 @@ func segmentImages(dev *nvm.Device) ([][]float64, error) {
 	}
 	return data, nil
 }
+
+// Serving returns s: a plain store is always its own serving store. It
+// makes *Store satisfy shard.Shard next to replica groups, whose serving
+// store changes under failover.
+func (s *Store) Serving() *Store { return s }
 
 // Device returns the underlying NVM device (for experiment accounting).
 func (s *Store) Device() *nvm.Device { return s.dev }
@@ -1018,6 +1038,18 @@ type Health struct {
 	Degraded     bool // retirement has crossed Options.DegradeThreshold
 }
 
+// Add folds o into h. Degraded is true when ANY folded store has crossed
+// its threshold: keys hashing to a degraded shard fail allocation even
+// while other shards have room, so an aggregate must surface the weakest
+// shard, not the average.
+func (h *Health) Add(o Health) {
+	h.DataSegments += o.DataSegments
+	h.Retired += o.Retired
+	h.LiveKeys += o.LiveKeys
+	h.PoolFree += o.PoolFree
+	h.Degraded = h.Degraded || o.Degraded
+}
+
 // Health reports how much of the store's capacity is still serviceable.
 func (s *Store) Health() Health {
 	s.mu.Lock()
@@ -1038,6 +1070,14 @@ type ScrubReport struct {
 	Relocated int // live records moved off failing segments
 	Retired   int // segments newly taken out of circulation
 	Lost      int // indexed records whose data is already unrecoverable
+}
+
+// Add folds o into r.
+func (r *ScrubReport) Add(o ScrubReport) {
+	r.Scanned += o.Scanned
+	r.Relocated += o.Relocated
+	r.Retired += o.Retired
+	r.Lost += o.Lost
 }
 
 // Scrub examines up to n segments, continuing round-robin from where the

@@ -188,6 +188,31 @@ type Stats struct {
 	FaultyWrites     uint64 // writes that left FaultyBits > 0 or hit a failed segment
 }
 
+// Add folds o into s: every counter sums, except MaxSegmentWrites, which
+// takes the maximum (the hottest segment across devices). It is the one
+// place multi-device aggregates are computed.
+func (s *Stats) Add(o Stats) {
+	s.Writes += o.Writes
+	s.Reads += o.Reads
+	s.BitsFlipped += o.BitsFlipped
+	s.BitsWritten += o.BitsWritten
+	s.BitsRead += o.BitsRead
+	s.LinesWritten += o.LinesWritten
+	s.LinesSkipped += o.LinesSkipped
+	s.WearLevelMoves += o.WearLevelMoves
+	s.WearLevelFlips += o.WearLevelFlips
+	s.EnergyPJ += o.EnergyPJ
+	s.WriteLatencyNs += o.WriteLatencyNs
+	s.ReadLatencyNs += o.ReadLatencyNs
+	s.FaultEvents += o.FaultEvents
+	s.StuckBits += o.StuckBits
+	s.FailedSegments += o.FailedSegments
+	s.FaultyWrites += o.FaultyWrites
+	if o.MaxSegmentWrites > s.MaxSegmentWrites {
+		s.MaxSegmentWrites = o.MaxSegmentWrites
+	}
+}
+
 // Device is a simulated PCM device.
 type Device struct {
 	cfg Config

@@ -111,9 +111,9 @@ type Group struct {
 	migLost   atomic.Uint64
 
 	// Reported counters are the raw atomics net of these base snapshots,
-	// so Cluster.ResetCounters can zero what Status/Failovers report
-	// without disturbing the raw values (drain bookkeeping derives live
-	// record counts from the raw migrated counter).
+	// so Cluster.ResetCounters can zero what Status reports without
+	// disturbing the raw values (drain bookkeeping derives live record
+	// counts from the raw migrated counter).
 	failoverBase atomic.Uint64
 	migratedBase atomic.Uint64
 	migLostBase  atomic.Uint64
@@ -223,17 +223,21 @@ func (g *Group) promoteLocked() error {
 	return g.startDrainLocked(old.store)
 }
 
-// put serves one write, following the group through failover: a write
-// that dies with the leader's device is retried on the promoted leader
-// (or re-routed into the drain path), so the caller only ever sees an
-// error the replica set could not absorb.
+// Put serves one write, following the group through failover and
+// migration: a write that dies with the leader's device is retried on the
+// promoted leader (or re-routed into the drain path), and a drained group
+// forwards to the group its keyspace moved to, so the caller only ever
+// sees an error the replica set could not absorb. On a nil return the
+// record is durable on the leader and applied or queued on every live
+// follower.
 //
 // lint:hotpath
-func (g *Group) put(key uint64, value []byte) error {
+func (g *Group) Put(key uint64, value []byte) error {
 	for {
 		switch g.state.Load() {
 		case stateDrained:
-			return errMoved
+			g = g.target(key)
+			continue
 		case stateDown:
 			return g.drain.downErr
 		case stateDraining:
@@ -258,24 +262,18 @@ func (g *Group) put(key uint64, value []byte) error {
 	}
 }
 
-// putIfAbsent is put with put-if-absent semantics, used by migrators
+// putIfAbsent is Put with put-if-absent semantics, used by migrators
 // copying records into this group. The keys are always foreign (hashed to
-// the migrating group, not this one), so the draining path forwards
-// without consulting this group's own tombstones.
+// the migrating group, not this one), so a group that is itself draining
+// or drained forwards without consulting its own tombstones.
 func (g *Group) putIfAbsent(key uint64, value []byte) (bool, error) {
 	for {
 		switch g.state.Load() {
-		case stateDrained:
-			return false, errMoved
+		case stateDraining, stateDrained:
+			g = g.target(key)
+			continue
 		case stateDown:
 			return false, g.drain.downErr
-		case stateDraining:
-			tgt := g.targetGroup(key)
-			wrote, err := tgt.putIfAbsent(key, value)
-			if errors.Is(err, errMoved) {
-				continue
-			}
-			return wrote, err
 		}
 		g.mu.RLock()
 		if g.state.Load() != stateActive {
@@ -288,24 +286,23 @@ func (g *Group) putIfAbsent(key uint64, value []byte) (bool, error) {
 		if err == nil || !deviceDead(err) {
 			return wrote, err
 		}
-		// Failover is the cold branch: it runs once per device death,
-		// rebuilding a store over the survivor. lint:allow hotpathalloc
 		if ferr := g.failoverFrom(st); ferr != nil {
 			return false, ferr
 		}
 	}
 }
 
-// getInto serves one read. Reads never trigger failover: fenced and worn
-// segments still serve their stored content, so a read error is a data
-// problem (ErrCorrupt), not a routing problem.
+// GetInto serves one read into dst (grown as needed). Reads never trigger
+// failover: fenced and worn segments still serve their stored content, so
+// a read error is a data problem (ErrCorrupt), not a routing problem.
 //
 // lint:hotpath
-func (g *Group) getInto(key uint64, dst []byte) ([]byte, bool, error) {
+func (g *Group) GetInto(key uint64, dst []byte) ([]byte, bool, error) {
 	for {
 		switch g.state.Load() {
 		case stateDrained:
-			return nil, false, errMoved
+			g = g.target(key)
+			continue
 		case stateDraining:
 			return g.drainGet(key, dst)
 		case stateDown:
@@ -322,15 +319,16 @@ func (g *Group) getInto(key uint64, dst []byte) ([]byte, bool, error) {
 	}
 }
 
-// delete serves one delete, with the same failover-and-retry contract as
-// put (invalidation writes die with the device too).
+// Delete serves one delete, with the same failover-and-retry contract as
+// Put (invalidation writes die with the device too).
 //
 // lint:hotpath
-func (g *Group) delete(key uint64) (bool, error) {
+func (g *Group) Delete(key uint64) (bool, error) {
 	for {
 		switch g.state.Load() {
 		case stateDrained:
-			return false, errMoved
+			g = g.target(key)
+			continue
 		case stateDown:
 			return false, g.drain.downErr
 		case stateDraining:
@@ -355,6 +353,100 @@ func (g *Group) delete(key uint64) (bool, error) {
 	}
 }
 
+// PutBatch applies the pairs in index order, each with Put's contract.
+// Replicated writes synchronize per item on the replica set, so there is
+// no per-group lock worth amortizing; the router has already validated
+// that the slices line up. Per-item outcomes land in errs when non-nil,
+// and the first failure by index is returned.
+//
+// lint:hotpath
+func (g *Group) PutBatch(keys []uint64, values [][]byte, errs []error) error {
+	var first error
+	for i, k := range keys {
+		err := g.Put(k, values[i])
+		if errs != nil {
+			errs[i] = err
+		}
+		if err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// GetBatch reads the keys in index order, each with GetInto's contract:
+// value i lands in dsts[i] (grown as needed) with its liveness in oks[i].
+//
+// lint:hotpath
+func (g *Group) GetBatch(keys []uint64, dsts [][]byte, oks []bool, errs []error) error {
+	var first error
+	for i, k := range keys {
+		v, ok, err := g.GetInto(k, dsts[i])
+		dsts[i], oks[i] = v, ok
+		if errs != nil {
+			errs[i] = err
+		}
+		if err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// NextInto returns the smallest live key in [lo, hi] that this group
+// itself still holds: the leader's while active, the dead source's while
+// down, and while draining the source's records not yet superseded by a
+// client write (tombstoned keys live in the target group, whose own
+// NextInto presents them). A drained group holds nothing.
+func (g *Group) NextInto(lo, hi uint64, dst []byte) (uint64, []byte, bool, error) {
+	if st := g.leaderStore(); st != nil {
+		return st.NextInto(lo, hi, dst)
+	}
+	switch g.state.Load() {
+	case stateDown:
+		return g.drain.source.NextInto(lo, hi, dst)
+	case stateDraining:
+		for {
+			k, v, ok, err := g.drain.source.NextInto(lo, hi, dst)
+			if err != nil || !ok {
+				return k, v, ok, err
+			}
+			g.drain.mu.Lock()
+			drained := g.drain.tombs == nil
+			_, tomb := g.drain.tombs[k]
+			g.drain.mu.Unlock()
+			if drained || (tomb && k == ^uint64(0)) {
+				return 0, v[:0], false, nil
+			}
+			if !tomb {
+				return k, v, true, nil
+			}
+			lo, dst = k+1, v
+		}
+	}
+	return 0, dst[:0], false, nil
+}
+
+// Len counts the live keys this group itself still holds. During a drain
+// both copies of a mid-flight key exist, so the draining group contributes
+// its source count net of migrated and superseded records — exact when
+// idle, approximate while the migrator races clients.
+func (g *Group) Len() int {
+	if st := g.leaderStore(); st != nil {
+		return st.Len()
+	}
+	switch g.state.Load() {
+	case stateDraining:
+		g.drain.mu.Lock()
+		dup := int(g.migrated.Load()) + len(g.drain.tombs)
+		g.drain.mu.Unlock()
+		return max(g.drain.source.Len()-dup, 0)
+	case stateDown:
+		return g.drain.source.Len()
+	}
+	return 0
+}
+
 // leaderStore returns the serving store while the group is active, else
 // nil.
 func (g *Group) leaderStore() *kvstore.Store {
@@ -366,10 +458,10 @@ func (g *Group) leaderStore() *kvstore.Store {
 	return g.nodes[g.leader].store
 }
 
-// servingStore returns whichever store still answers reads for the
-// group's remaining records: the active leader, or the draining/down
-// source. Nil once drained.
-func (g *Group) servingStore() *kvstore.Store {
+// Serving returns whichever store still answers reads for the group's
+// remaining records: the active leader, or the draining/down source. Nil
+// once drained.
+func (g *Group) Serving() *kvstore.Store {
 	if st := g.leaderStore(); st != nil {
 		return st
 	}

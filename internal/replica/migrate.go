@@ -28,6 +28,7 @@ import (
 	"errors"
 
 	"e2nvm/internal/kvstore"
+	"e2nvm/internal/shard"
 )
 
 // startDrainLocked begins migrating the group's keyspace out of source
@@ -52,22 +53,14 @@ func (g *Group) startDrainLocked(source *kvstore.Store) error {
 	return nil
 }
 
-// targetFor returns the group id serving key after this group's drain.
-// The choice hashes the bits Of leaves untouched, so keys of one drained
-// group spread evenly over its redirect set.
-func (g *Group) targetFor(key uint64) int {
+// target returns the group serving key after this group's drain. The
+// choice hashes the bits the router's Of leaves untouched, so keys of one
+// drained group spread evenly over its redirect set. The target may itself
+// have drained since the set was snapshotted; its serving methods forward
+// in turn.
+func (g *Group) target(key uint64) *Group {
 	r := g.drain.redirect
-	return r[int((mix64(key)>>32)%uint64(len(r)))]
-}
-
-// targetGroup resolves key's migration target, chasing groups that have
-// themselves drained since this group's redirect set was snapshotted.
-func (g *Group) targetGroup(key uint64) *Group {
-	tgt := g.c.groups[g.targetFor(key)]
-	for tgt.state.Load() == stateDrained {
-		tgt = g.c.groups[tgt.targetFor(key)]
-	}
-	return tgt
+	return g.c.groups[r[int((shard.Mix64(key)>>32)%uint64(len(r)))]]
 }
 
 // drainPut serves a client write during the drain: write to the target,
@@ -76,16 +69,8 @@ func (g *Group) targetGroup(key uint64) *Group {
 // tombstone comes after the write so a migrator that observes it can
 // trust the target copy exists.
 func (g *Group) drainPut(key uint64, value []byte) error {
-	for {
-		tgt := g.targetGroup(key)
-		err := tgt.put(key, value)
-		if errors.Is(err, errMoved) {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		break
+	if err := g.target(key).Put(key, value); err != nil {
+		return err
 	}
 	g.drain.mu.Lock()
 	if g.drain.tombs != nil {
@@ -101,23 +86,21 @@ func (g *Group) drainPut(key uint64, value []byte) error {
 // concurrent overwrite or completed drain flips the read back to the
 // authoritative target instead of returning the stale source copy.
 func (g *Group) drainGet(key uint64, dst []byte) ([]byte, bool, error) {
-	tgt := g.targetGroup(key)
-	v, ok, err := tgt.getInto(key, dst)
-	if ok || (err != nil && !errors.Is(err, errMoved)) {
+	tgt := g.target(key)
+	v, ok, err := tgt.GetInto(key, dst)
+	if ok || err != nil {
 		return v, ok, err
 	}
 	g.drain.mu.Lock()
 	drained := g.drain.tombs == nil
 	_, tomb := g.drain.tombs[key]
-	src := g.drain.source
 	g.drain.mu.Unlock()
-	if drained {
-		return v, false, nil // every surviving record reached the target
+	if drained || tomb {
+		// A client write or the finished drain put the authoritative copy
+		// in the target, possibly since the look above.
+		return tgt.GetInto(key, dst)
 	}
-	if tomb {
-		return g.targetGroup(key).getInto(key, dst)
-	}
-	v, ok, err = src.GetInto(key, dst)
+	v, ok, err = g.drain.source.GetInto(key, dst)
 	if !ok || err != nil {
 		return v, ok, err
 	}
@@ -125,7 +108,7 @@ func (g *Group) drainGet(key uint64, dst []byte) ([]byte, bool, error) {
 	_, tomb = g.drain.tombs[key]
 	g.drain.mu.Unlock()
 	if tomb || g.state.Load() != stateDraining {
-		return g.targetGroup(key).getInto(key, dst)
+		return tgt.GetInto(key, dst)
 	}
 	return v, ok, err
 }
@@ -137,25 +120,16 @@ func (g *Group) drainGet(key uint64, dst []byte) ([]byte, bool, error) {
 func (g *Group) drainDelete(key uint64) (bool, error) {
 	g.drain.mu.Lock()
 	defer g.drain.mu.Unlock()
-	if g.drain.tombs == nil {
-		return false, errMoved
+	// The target is always a group that started draining after this one
+	// (redirect sets exclude the owner and chains follow drain start
+	// order), so holding our drain.mu across its serving call cannot close
+	// a cycle. lint:allow lockorder
+	had, err := g.target(key).Delete(key)
+	if err != nil {
+		return false, err
 	}
-	had := false
-	for {
-		tgt := g.targetGroup(key)
-		// The target is always a group that started draining after this
-		// one (redirect sets exclude the owner and chains follow drain
-		// start order), so holding our drain.mu across its serving call
-		// cannot close a cycle. lint:allow lockorder
-		ok, err := tgt.delete(key)
-		if errors.Is(err, errMoved) {
-			continue
-		}
-		if err != nil {
-			return false, err
-		}
-		had = ok
-		break
+	if g.drain.tombs == nil {
+		return had, nil // the drain finished first: the target held the only copy
 	}
 	if _, tomb := g.drain.tombs[key]; !tomb {
 		// Not superseded yet: the source copy (if any) is still live.
@@ -206,7 +180,7 @@ func (g *Group) migrate() {
 			// Cross-instance by construction: the copy lands on a different
 			// group (a key's target is never its draining owner), so this
 			// drain.mu -> Group.mu chain is acyclic. lint:allow lockorder
-			wrote, err := g.migrateCopyLocked(k, v)
+			wrote, err := g.target(k).putIfAbsent(k, v)
 			perr = err
 			if wrote {
 				g.migrated.Add(1)
@@ -223,20 +197,6 @@ func (g *Group) migrate() {
 		lo = k + 1
 	}
 	g.finishMigrate(nil)
-}
-
-// migrateCopyLocked copies one untombstoned source record into its
-// target. Callers hold g.drain.mu — the migrator-side half of the delete
-// race above.
-func (g *Group) migrateCopyLocked(k uint64, v []byte) (bool, error) {
-	for {
-		tgt := g.targetGroup(k)
-		wrote, err := tgt.putIfAbsent(k, v)
-		if errors.Is(err, errMoved) {
-			continue
-		}
-		return wrote, err
-	}
 }
 
 // finishMigrate records the migration outcome. On success the group

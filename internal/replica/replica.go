@@ -16,10 +16,12 @@
 // group live-migrates its records into the surviving groups while writes
 // continue (see migrate.go).
 //
-// Routing layers on the shard router's hash (shard.Mix64): a key's home
-// group is the same modulus the router uses, and drained groups carry a
-// stable redirect set, so re-routing after migration is a pure function
-// of the key — no routing table, no extra locks on the serving path.
+// Serving goes through the one shard router (internal/shard): each Group
+// is a shard.Shard, the cluster embeds a shard.Router built over its
+// groups, and the router's hash picks a key's home group. A drained group
+// forwards to its redirect target itself — a pure function of the key over
+// a stable redirect set — so re-routing after migration needs no routing
+// table and no extra locks on the serving path.
 package replica
 
 import (
@@ -51,16 +53,6 @@ var (
 	ErrGroupDown = errors.New("replica: group is down")
 )
 
-// errMoved is the internal re-route signal: the group a key was addressed
-// to has finished draining, and the operation must re-resolve through the
-// redirect chain. It never escapes the package.
-var errMoved = errors.New("replica: group drained; re-route")
-
-// mix64 aliases the shard router's key permutation: the low bits pick the
-// home group exactly as shard.Router.Of would, and targetFor consumes the
-// independent high bits.
-func mix64(x uint64) uint64 { return shard.Mix64(x) }
-
 // GroupSpec describes one replica set: a crash-safe serving store plus
 // zero or more follower devices with identical geometry (same segment
 // size and count, and — for a follower's recovered store to converge
@@ -81,18 +73,18 @@ type Config struct {
 	QueueDepth int
 }
 
-// Cluster is a set of replicated keyspace groups behind one key-value
-// interface. Methods are safe for concurrent use; Close is not (callers
-// stop traffic first, as with closing any store).
+// Cluster owns a set of replicated keyspace groups: construction, Close,
+// health sweeps, status and device accessors. Serving — Put, Get, GetInto,
+// Delete, the batches, Scan, Len, Scrub, Retrain, NeedsRetrain — is the
+// embedded router's, over the groups as shards. Methods are safe for
+// concurrent use; Close is not (callers stop traffic first, as with
+// closing any store).
 type Cluster struct {
+	*shard.Router
 	groups []*Group
 	cfg    Config
 	migWG  sync.WaitGroup
 	closed atomic.Bool
-
-	// scrubCalls accumulates Scrub remainder units handed out, rotating
-	// the remainder start across calls (see Scrub).
-	scrubCalls atomic.Uint64
 }
 
 // New wires the groups into a cluster: follower apply loops start, and
@@ -142,200 +134,17 @@ func New(specs []GroupSpec, cfg Config) (*Cluster, error) {
 		c.groups = append(c.groups, g)
 		spec.Leader.TxnManager().SetShipper(g.shipperFor())
 	}
+	shards := make([]shard.Shard, len(c.groups))
+	for i, g := range c.groups {
+		shards[i] = g
+	}
+	router, err := shard.New(shards)
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	c.Router = router
 	return c, nil
-}
-
-// N returns the group count.
-func (c *Cluster) N() int { return len(c.groups) }
-
-// of returns key's home group, the same modulus shard.Router.Of uses.
-//
-// lint:inline
-func (c *Cluster) of(key uint64) int {
-	if len(c.groups) == 1 {
-		return 0
-	}
-	return int(mix64(key) % uint64(len(c.groups)))
-}
-
-// route resolves the group currently serving key, following redirects of
-// drained groups. The chain is acyclic (see migrate.go) and lock-free.
-//
-// lint:hotpath
-func (c *Cluster) route(key uint64) *Group {
-	g := c.groups[c.of(key)]
-	for g.state.Load() == stateDrained {
-		g = c.groups[g.targetFor(key)]
-	}
-	return g
-}
-
-// Put writes key with acknowledged-write semantics: on return the record
-// is durable on its group's leader and applied or queued on every live
-// follower.
-//
-// lint:hotpath
-func (c *Cluster) Put(key uint64, value []byte) error {
-	for {
-		err := c.route(key).put(key, value)
-		if !errors.Is(err, errMoved) {
-			return err
-		}
-	}
-}
-
-// Get reads key, allocating the returned value.
-//
-// lint:hotpath
-func (c *Cluster) Get(key uint64) ([]byte, bool, error) {
-	return c.GetInto(key, nil)
-}
-
-// GetInto reads key into dst (grown as needed).
-//
-// lint:hotpath
-func (c *Cluster) GetInto(key uint64, dst []byte) ([]byte, bool, error) {
-	for {
-		v, ok, err := c.route(key).getInto(key, dst)
-		if !errors.Is(err, errMoved) {
-			return v, ok, err
-		}
-	}
-}
-
-// Delete removes key, reporting whether it was present.
-//
-// lint:hotpath
-func (c *Cluster) Delete(key uint64) (bool, error) {
-	for {
-		ok, err := c.route(key).delete(key)
-		if !errors.Is(err, errMoved) {
-			return ok, err
-		}
-	}
-}
-
-// Scan calls fn for each key in [lo, hi] in ascending key order, merging
-// the groups' ordered streams: active leaders plus the untombstoned
-// remainder of draining sources. When a key is mid-migration both copies
-// exist; the merge prefers the active group's (it carries every write
-// since the drain began). Like the router's Scan this is not an atomic
-// snapshot, and a group finishing its drain mid-scan bounds — but does
-// not eliminate — duplicate suppression staleness.
-func (c *Cluster) Scan(lo, hi uint64, fn func(key uint64, value []byte) bool) error {
-	type cursor struct {
-		g      *Group // non-nil for draining-source cursors
-		st     *kvstore.Store
-		key    uint64
-		val    []byte
-		ok     bool
-		active bool
-	}
-	var curs []cursor
-	for _, g := range c.groups {
-		if st := g.leaderStore(); st != nil {
-			curs = append(curs, cursor{st: st, active: true})
-			continue
-		}
-		switch g.state.Load() {
-		case stateDraining:
-			curs = append(curs, cursor{g: g, st: g.drain.source})
-		case stateDown:
-			curs = append(curs, cursor{st: g.drain.source})
-		}
-	}
-	// advance pulls cursor i's next entry at or after from, skipping
-	// tombstoned keys on draining sources (their authoritative copy, if
-	// any, is under an active cursor).
-	advance := func(i int, from uint64) error {
-		cur := &curs[i]
-		for {
-			k, v, ok, err := cur.st.NextInto(from, hi, cur.val)
-			if err != nil {
-				return err
-			}
-			cur.key, cur.val, cur.ok = k, v, ok
-			if !ok || cur.g == nil {
-				return nil
-			}
-			if cur.g.state.Load() == stateDrained {
-				cur.ok = false // drain completed mid-scan: the target cursors own everything
-				return nil
-			}
-			cur.g.drain.mu.Lock()
-			_, tomb := cur.g.drain.tombs[k]
-			cur.g.drain.mu.Unlock()
-			if !tomb {
-				return nil
-			}
-			if k == ^uint64(0) {
-				cur.ok = false
-				return nil
-			}
-			from = k + 1
-		}
-	}
-	for i := range curs {
-		if err := advance(i, lo); err != nil {
-			return err
-		}
-	}
-	for {
-		best := -1
-		for i := range curs {
-			if !curs[i].ok {
-				continue
-			}
-			if best < 0 || curs[i].key < curs[best].key ||
-				(curs[i].key == curs[best].key && curs[i].active && !curs[best].active) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return nil
-		}
-		k := curs[best].key
-		if !fn(k, curs[best].val) {
-			return nil
-		}
-		if k >= hi || k == ^uint64(0) {
-			return nil
-		}
-		for i := range curs {
-			if curs[i].ok && curs[i].key == k {
-				if err := advance(i, k+1); err != nil {
-					return err
-				}
-			}
-		}
-	}
-}
-
-// Len sums live keys over the cluster. During a drain both copies of a
-// mid-flight key exist, so the draining group contributes its source
-// count net of migrated and superseded records — exact when idle,
-// approximate while the migrator races clients.
-func (c *Cluster) Len() int {
-	n := 0
-	for _, g := range c.groups {
-		if st := g.leaderStore(); st != nil {
-			n += st.Len()
-			continue
-		}
-		switch g.state.Load() {
-		case stateDraining:
-			g.drain.mu.Lock()
-			src := g.drain.source
-			dup := int(g.migrated.Load()) + len(g.drain.tombs)
-			g.drain.mu.Unlock()
-			if rem := src.Len() - dup; rem > 0 {
-				n += rem
-			}
-		case stateDown:
-			n += g.drain.source.Len()
-		}
-	}
-	return n
 }
 
 // CheckHealth sweeps the cluster for conditions failure-driven handling
@@ -373,11 +182,7 @@ func (c *Cluster) CheckHealth() error {
 // serving store's async retrain — has completed.
 func (c *Cluster) Quiesce() {
 	c.migWG.Wait()
-	for _, g := range c.groups {
-		if st := g.servingStore(); st != nil {
-			st.Quiesce()
-		}
-	}
+	c.Router.Quiesce()
 }
 
 // Close stops replication: waits out migrations, closes every follower
@@ -485,20 +290,9 @@ func (c *Cluster) Status() []GroupStatus {
 	return out
 }
 
-// Failovers sums completed leader promotions over all groups since the
-// last ResetCounters.
-func (c *Cluster) Failovers() uint64 {
-	var n uint64
-	for _, g := range c.groups {
-		base := g.failoverBase.Load() // before the raw load; see Status
-		n += g.failovers.Load() - base
-	}
-	return n
-}
-
 // ResetCounters rebases the failover and migration counters that Status
-// and Failovers report, so a metrics reset on the owning store starts the
-// cluster's counters from zero too. The raw atomics are left untouched:
+// reports, so a metrics reset on the owning store starts the cluster's
+// counters from zero too. The raw atomics are left untouched:
 // drain bookkeeping derives live record counts from the raw migrated
 // counter, which must keep its absolute value.
 func (c *Cluster) ResetCounters() {
@@ -507,17 +301,6 @@ func (c *Cluster) ResetCounters() {
 		g.migratedBase.Store(g.migrated.Load())
 		g.migLostBase.Store(g.migLost.Load())
 	}
-}
-
-// DrainedGroups counts groups whose keyspace has fully migrated away.
-func (c *Cluster) DrainedGroups() int {
-	n := 0
-	for _, g := range c.groups {
-		if g.state.Load() == stateDrained {
-			n++
-		}
-	}
-	return n
 }
 
 // activeGroupIDs snapshots the ids of groups currently active, excluding
@@ -532,19 +315,11 @@ func (c *Cluster) activeGroupIDs(self int) []int {
 	return ids
 }
 
-// LeaderStore returns group g's serving leader store, or nil when the
-// group has none (draining, drained, or down).
-func (c *Cluster) LeaderStore(g int) *kvstore.Store { return c.groups[g].leaderStore() }
-
-// ServingStore returns whichever store still answers reads for group g's
-// remaining records (leader, or draining/down source); nil once drained.
-func (c *Cluster) ServingStore(g int) *kvstore.Store { return c.groups[g].servingStore() }
-
 // LeaderDevice returns the device behind group g's serving store — the
 // target fault injection should aim at to exercise the group's current
 // leader. Nil once the group has drained.
 func (c *Cluster) LeaderDevice(g int) *nvm.Device {
-	if st := c.groups[g].servingStore(); st != nil {
+	if st := c.Serving(g); st != nil {
 		return st.Device()
 	}
 	return nil
@@ -561,88 +336,4 @@ func (c *Cluster) GroupDevices(g int) []*nvm.Device {
 		out[i] = n.dev
 	}
 	return out
-}
-
-// Devices returns every device in the cluster — leaders, followers, and
-// dead nodes — for wear and energy accounting.
-func (c *Cluster) Devices() []*nvm.Device {
-	var out []*nvm.Device
-	for _, g := range c.groups {
-		g.mu.RLock()
-		for _, n := range g.nodes {
-			out = append(out, n.dev)
-		}
-		g.mu.RUnlock()
-	}
-	return out
-}
-
-// ServingStores returns every store still serving some slice of the
-// keyspace: active leaders plus draining/down sources.
-func (c *Cluster) ServingStores() []*kvstore.Store {
-	var out []*kvstore.Store
-	for _, g := range c.groups {
-		if st := g.servingStore(); st != nil {
-			out = append(out, st)
-		}
-	}
-	return out
-}
-
-// Scrub spreads a segment-examination budget over the serving stores,
-// remainder round-robin like shard.Router.Scrub (scrubCursor rotates via
-// the per-store cursors; the cross-store remainder start is derived from
-// the call count).
-func (c *Cluster) Scrub(n int) (kvstore.ScrubReport, error) {
-	var agg kvstore.ScrubReport
-	stores := c.ServingStores()
-	if len(stores) == 0 || n <= 0 {
-		return agg, nil
-	}
-	per, rem := n/len(stores), n%len(stores)
-	start := int(c.scrubCalls.Add(uint64(rem))-uint64(rem)) % len(stores)
-	for i, st := range stores {
-		quota := per
-		if (i-start+len(stores))%len(stores) < rem {
-			quota++
-		}
-		if quota == 0 {
-			continue
-		}
-		rep, err := st.Scrub(quota)
-		agg.Scanned += rep.Scanned
-		agg.Relocated += rep.Relocated
-		agg.Retired += rep.Retired
-		agg.Lost += rep.Lost
-		if err != nil {
-			return agg, err
-		}
-	}
-	return agg, nil
-}
-
-// NeedsRetrain reports whether any serving store's pool is running low.
-func (c *Cluster) NeedsRetrain() bool {
-	for _, st := range c.ServingStores() {
-		if st.NeedsRetrain() {
-			return true
-		}
-	}
-	return false
-}
-
-// Retrain retrains every serving store's model concurrently.
-func (c *Cluster) Retrain() error {
-	stores := c.ServingStores()
-	errs := make([]error, len(stores))
-	var wg sync.WaitGroup
-	for i, st := range stores {
-		wg.Add(1)
-		go func(i int, st *kvstore.Store) {
-			defer wg.Done()
-			errs[i] = st.Retrain()
-		}(i, st)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }

@@ -160,10 +160,10 @@ func TestFailoverPromotesFollower(t *testing.T) {
 	if err := c.Put(uint64(n), val(n)); err != nil {
 		t.Fatalf("Put across failover: %v", err)
 	}
-	if got := c.Failovers(); got != 1 {
-		t.Fatalf("Failovers = %d, want 1", got)
-	}
 	st := c.Status()[0]
+	if st.Failovers != 1 {
+		t.Fatalf("Failovers = %d, want 1", st.Failovers)
+	}
 	if st.State != StateActive {
 		t.Fatalf("group state = %s, want active", st.State)
 	}
@@ -211,7 +211,7 @@ func TestMigrationDrainsDeadGroup(t *testing.T) {
 	// surviving group without the caller noticing.
 	var probe uint64
 	for k := uint64(0); ; k++ {
-		if c.of(k) == victim {
+		if c.Of(k) == victim {
 			probe = k
 			break
 		}
@@ -228,8 +228,8 @@ func TestMigrationDrainsDeadGroup(t *testing.T) {
 	if st.Migrated == 0 {
 		t.Fatalf("migrated = 0, want > 0")
 	}
-	if c.DrainedGroups() != 1 {
-		t.Fatalf("DrainedGroups = %d, want 1", c.DrainedGroups())
+	if c.Serving(victim) != nil {
+		t.Fatal("a drained group must report no serving store")
 	}
 	// The whole keyspace — including every key homed to the drained group
 	// — is served by the survivors.
@@ -275,6 +275,107 @@ func TestMigrationDrainsDeadGroup(t *testing.T) {
 	if len(seen) != len(want) {
 		t.Fatalf("scan saw %d keys, want %d", len(seen), len(want))
 	}
+	// A scrub budget is split over the two groups still serving only: none
+	// of it is handed to the drained group and lost.
+	rep, err := c.Scrub(3)
+	if err != nil || rep.Scanned != 3 {
+		t.Fatalf("Scrub(3) with one group drained = (%+v,%v), want 3 segments scanned", rep, err)
+	}
+}
+
+// TestScanDuringDrain parks a group in the draining state — its migrator
+// stopped part-way by an injected crash in the target's redo log, the way
+// TestCrashMatrixMigrationCopy stops one — with one client overwrite and
+// one client delete of keys the migrator had not reached. Keys the
+// migrator did copy then exist in both the source and the target: the
+// router's Scan must emit every live key exactly once, ascending, with the
+// value Get returns, and Len must agree once the drain has finished.
+func TestScanDuringDrain(t *testing.T) {
+	const keys = 40
+	c := newCluster(t, 2, 1, 32, 96)
+	defer c.Close()
+	want := map[uint64][]byte{}
+	var victimKeys []uint64
+	const victim, target = 0, 1
+	for i := 0; i < keys; i++ {
+		k := uint64(i)
+		if err := c.Put(k, val(i)); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = val(i)
+		if c.Of(k) == victim {
+			victimKeys = append(victimKeys, k)
+		}
+	}
+	// Each migrated record costs the target's log five device writes, so the
+	// migrator dies inside its third copy.
+	tmgr := c.groups[target].nodes[0].store.TxnManager()
+	tmgr.FailAfter(12)
+	vg := c.groups[victim]
+	fence(t, vg.nodes[0].dev)
+	if err := vg.failoverFrom(vg.nodes[0].store); err != nil {
+		t.Fatal(err)
+	}
+	c.Quiesce() // the migrator has stopped
+	tmgr.FailAfter(-1)
+	if st := c.Status()[victim]; st.State != StateDraining || st.Migrated == 0 || int(st.Migrated) >= len(victimKeys)-2 {
+		t.Fatalf("victim = %+v, want parked in draining with some of its %d records migrated", st, len(victimKeys))
+	}
+	// The migrator walks ascending, so the victim's two largest keys are
+	// still source-only.
+	over, del := victimKeys[len(victimKeys)-1], victimKeys[len(victimKeys)-2]
+	if err := c.Put(over, val(5000)); err != nil {
+		t.Fatalf("overwrite during drain: %v", err)
+	}
+	want[over] = val(5000)
+	if ok, err := c.Delete(del); err != nil || !ok {
+		t.Fatalf("delete during drain = (%v,%v)", ok, err)
+	}
+	delete(want, del)
+	// The window inside a drain-time overwrite — new value in the target,
+	// source copy not tombstoned yet — held open by writing the target's
+	// store directly: both groups now present the key with different
+	// values, and Scan must emit the one the read path serves.
+	both := victimKeys[0] // the migrator's first copy
+	if err := c.groups[target].nodes[0].store.Put(both, val(6000)); err != nil {
+		t.Fatal(err)
+	}
+	want[both] = val(6000)
+
+	checkScan := func(when string) {
+		t.Helper()
+		seen, last := 0, int64(-1)
+		if err := c.Scan(0, ^uint64(0), func(k uint64, v []byte) bool {
+			if int64(k) <= last {
+				t.Fatalf("%s: scan emitted %d after %d", when, k, last)
+			}
+			last = int64(k)
+			seen++
+			gv, ok, err := c.Get(k)
+			if err != nil || !ok || !bytes.Equal(v, gv) || !bytes.Equal(v, want[k]) {
+				t.Fatalf("%s: scan value for %d = %q, Get = (%q,%v,%v), want %q", when, k, v, gv, ok, err, want[k])
+			}
+			return true
+		}); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if seen != len(want) {
+			t.Fatalf("%s: scan emitted %d keys, want %d", when, seen, len(want))
+		}
+	}
+	checkScan("draining")
+
+	if err := c.CheckHealth(); err != nil { // relaunches the stalled migrator
+		t.Fatal(err)
+	}
+	c.Quiesce()
+	if st := c.Status()[victim]; st.State != StateDrained {
+		t.Fatalf("victim state after relaunch = %s, want drained", st.State)
+	}
+	checkScan("drained")
+	if c.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", c.Len(), len(want))
+	}
 }
 
 func TestDeleteDuringDrainDoesNotResurrect(t *testing.T) {
@@ -292,7 +393,7 @@ func TestDeleteDuringDrainDoesNotResurrect(t *testing.T) {
 	// homed to the victim while the migrator races the deletes.
 	var victimKeys []uint64
 	for i := 0; i < keys; i++ {
-		if c.of(uint64(i)) == victim {
+		if c.Of(uint64(i)) == victim {
 			victimKeys = append(victimKeys, uint64(i))
 		}
 	}
@@ -313,7 +414,7 @@ func TestDeleteDuringDrainDoesNotResurrect(t *testing.T) {
 	// Keys homed to the survivor are untouched.
 	for i := 0; i < keys; i++ {
 		k := uint64(i)
-		if c.of(k) == victim {
+		if c.Of(k) == victim {
 			continue
 		}
 		v, ok, err := c.Get(k)
@@ -336,7 +437,7 @@ func TestOverwriteDuringDrainWins(t *testing.T) {
 	fence(t, c.groups[victim].nodes[0].dev)
 	var victimKeys []uint64
 	for i := 0; i < keys; i++ {
-		if c.of(uint64(i)) == victim {
+		if c.Of(uint64(i)) == victim {
 			victimKeys = append(victimKeys, uint64(i))
 		}
 	}
@@ -412,8 +513,8 @@ func TestCheckHealthFailsOverDegradedLeader(t *testing.T) {
 	if err := c.CheckHealth(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Failovers() != 1 {
-		t.Fatalf("Failovers after CheckHealth = %d, want 1", c.Failovers())
+	if got := c.Status()[0].Failovers; got != 1 {
+		t.Fatalf("Failovers after CheckHealth = %d, want 1", got)
 	}
 	for i := 0; i < 20; i++ {
 		v, ok, err := c.Get(uint64(i))

@@ -67,7 +67,7 @@ func growInts(s []int, n int) []int {
 //
 // lint:hotpath
 func (r *Router) groupByShard(b *batchScratch, keys []uint64) {
-	n, shards := len(keys), len(r.stores)
+	n, shards := len(keys), len(r.shards)
 	b.off = growInts(b.off, shards+1)
 	for i := range b.off {
 		b.off[i] = 0
@@ -119,8 +119,8 @@ func (r *Router) PutBatch(keys []uint64, values [][]byte, errs []error) error {
 	if len(values) != len(keys) || (errs != nil && len(errs) != len(keys)) {
 		return ErrBadBatch
 	}
-	if len(r.stores) == 1 {
-		return r.stores[0].PutBatch(keys, values, errs)
+	if len(r.shards) == 1 {
+		return r.shards[0].PutBatch(keys, values, errs)
 	}
 	n := len(keys)
 	b := batchPool.Get().(*batchScratch)
@@ -131,13 +131,13 @@ func (r *Router) PutBatch(keys []uint64, values [][]byte, errs []error) error {
 		b.vals[slot] = values[i]
 	}
 	start := 0
-	for sh := range r.stores {
+	for sh := range r.shards {
 		end := b.off[sh]
 		if end > start {
 			// Per-item outcomes land in b.errs; the per-shard return value
 			// is redundant with them, so the caller-order scan below
 			// rebuilds the first failure.
-			_ = r.stores[sh].PutBatch(b.keys[start:end], b.vals[start:end], b.errs[start:end])
+			_ = r.shards[sh].PutBatch(b.keys[start:end], b.vals[start:end], b.errs[start:end])
 		}
 		start = end
 	}
@@ -168,8 +168,8 @@ func (r *Router) GetBatch(keys []uint64, dsts [][]byte, oks []bool, errs []error
 	if len(dsts) != len(keys) || len(oks) != len(keys) || (errs != nil && len(errs) != len(keys)) {
 		return ErrBadBatch
 	}
-	if len(r.stores) == 1 {
-		return r.stores[0].GetBatch(keys, dsts, oks, errs)
+	if len(r.shards) == 1 {
+		return r.shards[0].GetBatch(keys, dsts, oks, errs)
 	}
 	n := len(keys)
 	b := batchPool.Get().(*batchScratch)
@@ -181,10 +181,10 @@ func (r *Router) GetBatch(keys []uint64, dsts [][]byte, oks []bool, errs []error
 		b.dsts[slot] = dsts[i] // carry caller buffers through so they get reused
 	}
 	start := 0
-	for sh := range r.stores {
+	for sh := range r.shards {
 		end := b.off[sh]
 		if end > start {
-			_ = r.stores[sh].GetBatch(b.keys[start:end], b.dsts[start:end], b.oks[start:end], b.errs[start:end])
+			_ = r.shards[sh].GetBatch(b.keys[start:end], b.dsts[start:end], b.oks[start:end], b.errs[start:end])
 		}
 		start = end
 	}

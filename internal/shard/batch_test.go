@@ -75,7 +75,7 @@ func TestPutBatchMatchesPerItemPuts(t *testing.T) {
 		}
 	}
 	for sh := 0; sh < batched.N(); sh++ {
-		if b, p := batched.Store(sh).Len(), perItem.Store(sh).Len(); b != p {
+		if b, p := batched.Serving(sh).Len(), perItem.Serving(sh).Len(); b != p {
 			t.Fatalf("shard %d: batched holds %d keys, per-item %d", sh, b, p)
 		}
 	}
@@ -86,7 +86,7 @@ func TestPutBatchMatchesPerItemPuts(t *testing.T) {
 // failure by caller order even though shards run out of order.
 func TestPutBatchPerItemErrors(t *testing.T) {
 	r := newRouter(t, 4, 32, 64, kvstore.Options{})
-	maxValue := r.Store(0).MaxValue()
+	maxValue := r.Serving(0).MaxValue()
 	n := 12
 	keys := make([]uint64, n)
 	vals := make([][]byte, n)

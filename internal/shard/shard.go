@@ -1,6 +1,8 @@
-// Package shard hash-partitions the keyspace across N independent
-// kvstore.Store instances so that operations on different shards never
-// contend on a lock, a device, or a model.
+// Package shard hash-partitions the keyspace across N independent shards
+// so that operations on different shards never contend on a lock, a
+// device, or a model. It is the store's one serving stack: a shard is
+// either a plain kvstore.Store or a replica.Group, and the router serves
+// both through the same Shard interface.
 //
 // E2-NVM's placement state — VAE/K-means model, dynamic address pool,
 // RB-tree index, device zone, redo log — partitions cleanly by keyspace:
@@ -18,37 +20,60 @@ package shard
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"e2nvm/internal/kvstore"
 )
 
-// ErrNoStores reports a router constructed over an empty store list.
+// ErrNoStores reports a router constructed over an empty shard list.
 var ErrNoStores = errors.New("shard: need at least one store")
 
-// Router routes operations across independent stores by key hash.
-type Router struct {
-	stores []*kvstore.Store
-
-	// scrubMu guards scrubStart, the shard that receives the first unit of
-	// the next Scrub budget's remainder (see Scrub).
-	scrubMu    sync.Mutex
-	scrubStart int
+// Shard is one keyspace partition as the router sees it. *kvstore.Store
+// satisfies it directly; *replica.Group satisfies it by forwarding to its
+// current leader (or, once its replicas have all died, to the groups its
+// keyspace migrated into).
+type Shard interface {
+	Put(key uint64, value []byte) error
+	GetInto(key uint64, dst []byte) ([]byte, bool, error)
+	Delete(key uint64) (bool, error)
+	PutBatch(keys []uint64, values [][]byte, errs []error) error
+	GetBatch(keys []uint64, dsts [][]byte, oks []bool, errs []error) error
+	// NextInto returns the smallest live key in [lo, hi] the shard itself
+	// still holds, with its value copied into dst; see
+	// kvstore.Store.NextInto.
+	NextInto(lo, hi uint64, dst []byte) (key uint64, value []byte, ok bool, err error)
+	Len() int
+	// Serving returns the store that serves the shard right now — the one
+	// whose counters, capacity, scrub cursor and model describe it — or nil
+	// once the shard's keyspace has drained into other shards.
+	Serving() *kvstore.Store
 }
 
-// New builds a router over the given stores. The slice is copied; len 1 is
-// valid and makes every method a thin delegation.
-func New(stores []*kvstore.Store) (*Router, error) {
-	if len(stores) == 0 {
+// Router routes operations across independent shards by key hash.
+type Router struct {
+	shards []Shard
+
+	// scrubUnits counts the Scrub remainder units handed out so far; the
+	// next call's remainder starts where the previous one stopped (see
+	// Scrub).
+	scrubUnits atomic.Uint64
+}
+
+// New builds a router over the given shards. The slice is copied; len 1 is
+// valid and makes every point operation a thin delegation.
+func New(shards []Shard) (*Router, error) {
+	if len(shards) == 0 {
 		return nil, ErrNoStores
 	}
-	return &Router{stores: append([]*kvstore.Store(nil), stores...)}, nil
+	return &Router{shards: append([]Shard(nil), shards...)}, nil
 }
 
 // N returns the shard count.
-func (r *Router) N() int { return len(r.stores) }
+func (r *Router) N() int { return len(r.shards) }
 
-// Store returns shard i's store, for per-shard inspection.
-func (r *Router) Store(i int) *kvstore.Store { return r.stores[i] }
+// Serving returns the store currently serving shard i, or nil once the
+// shard has drained; see Shard.Serving.
+func (r *Router) Serving(i int) *kvstore.Store { return r.shards[i].Serving() }
 
 // mix64 is the SplitMix64 finalizer: a full-avalanche permutation of the
 // key space, so dense sequential keys still spread uniformly over shards.
@@ -72,74 +97,94 @@ func Mix64(x uint64) uint64 { return mix64(x) }
 //
 // lint:inline
 func (r *Router) Of(key uint64) int {
-	if len(r.stores) == 1 {
+	if len(r.shards) == 1 {
 		return 0
 	}
-	return int(mix64(key) % uint64(len(r.stores)))
+	return int(mix64(key) % uint64(len(r.shards)))
 }
 
 // Put routes the write to key's shard.
 //
 // lint:hotpath
 func (r *Router) Put(key uint64, value []byte) error {
-	return r.stores[r.Of(key)].Put(key, value)
+	return r.shards[r.Of(key)].Put(key, value)
 }
 
-// Get routes the read to key's shard.
+// Get routes the read to key's shard, allocating the returned value.
 //
 // lint:hotpath
 func (r *Router) Get(key uint64) ([]byte, bool, error) {
-	return r.stores[r.Of(key)].Get(key)
+	return r.shards[r.Of(key)].GetInto(key, nil)
 }
 
 // GetInto routes the zero-alloc read to key's shard.
 //
 // lint:hotpath
 func (r *Router) GetInto(key uint64, dst []byte) ([]byte, bool, error) {
-	return r.stores[r.Of(key)].GetInto(key, dst)
+	return r.shards[r.Of(key)].GetInto(key, dst)
 }
 
 // Delete routes the delete to key's shard.
 //
 // lint:hotpath
 func (r *Router) Delete(key uint64) (bool, error) {
-	return r.stores[r.Of(key)].Delete(key)
+	return r.shards[r.Of(key)].Delete(key)
 }
 
 // Scan calls fn for each key in [lo, hi] in ascending global key order,
 // merging the shards' ordered streams. Each element is pulled from its
-// shard at visit time (kvstore.Store.NextInto), so like the single-store
-// Scan the result is not one atomic snapshot, the callback runs with no
-// store lock held, and the value slice is only valid during the callback.
+// shard at visit time (Shard.NextInto), so the result is not one atomic
+// snapshot, the callback runs with no store lock held, and the value slice
+// is only valid during the callback.
+//
+// Two shards present the same key only while a replica group's keyspace is
+// migrating (the record has been copied into its target and not yet
+// dropped from the source). The rule then is exact: the key is emitted
+// once, with the value a routed GetInto returns — the read path already
+// knows which copy is authoritative — and skipped if that read finds it
+// deleted.
 func (r *Router) Scan(lo, hi uint64, fn func(key uint64, value []byte) bool) error {
-	if len(r.stores) == 1 {
-		return r.stores[0].Scan(lo, hi, fn)
-	}
 	type cursor struct {
 		key uint64
 		val []byte
 		ok  bool
 	}
-	curs := make([]cursor, len(r.stores))
-	for i, st := range r.stores {
-		k, v, ok, err := st.NextInto(lo, hi, nil)
-		if err != nil {
+	curs := make([]cursor, len(r.shards))
+	advance := func(i int, from uint64) error {
+		k, v, ok, err := r.shards[i].NextInto(from, hi, curs[i].val[:0])
+		curs[i] = cursor{key: k, val: v, ok: ok}
+		return err
+	}
+	for i := range curs {
+		if err := advance(i, lo); err != nil {
 			return err
 		}
-		curs[i] = cursor{key: k, val: v, ok: ok}
 	}
+	var dup []byte
 	for {
-		best := -1
+		best, shared := -1, false
 		for i := range curs {
-			if curs[i].ok && (best < 0 || curs[i].key < curs[best].key) {
-				best = i
+			if !curs[i].ok {
+				continue
+			}
+			if best < 0 || curs[i].key < curs[best].key {
+				best, shared = i, false
+			} else if curs[i].key == curs[best].key {
+				shared = true
 			}
 		}
 		if best < 0 {
 			return nil
 		}
-		k := curs[best].key
-		if !fn(k, curs[best].val) {
+		k, v, live := curs[best].key, curs[best].val, true
+		if shared {
+			var err error
+			if dup, live, err = r.GetInto(k, dup[:0]); err != nil {
+				return err
+			}
+			v = dup
+		}
+		if live && !fn(k, v) {
 			return nil
 		}
 		if k >= hi || k == ^uint64(0) {
@@ -147,112 +192,63 @@ func (r *Router) Scan(lo, hi uint64, fn func(key uint64, value []byte) bool) err
 			// also past hi: the scan is complete.
 			return nil
 		}
-		nk, v, ok, err := r.stores[best].NextInto(k+1, hi, curs[best].val[:0])
-		if err != nil {
-			return err
+		for i := range curs {
+			if curs[i].ok && curs[i].key == k {
+				if err := advance(i, k+1); err != nil {
+					return err
+				}
+			}
 		}
-		curs[best] = cursor{key: nk, val: v, ok: ok}
 	}
 }
 
 // Len sums live keys over all shards.
 func (r *Router) Len() int {
 	n := 0
-	for _, st := range r.stores {
-		n += st.Len()
+	for _, sh := range r.shards {
+		n += sh.Len()
 	}
 	return n
 }
 
-// Stats sums the per-shard counters.
-func (r *Router) Stats() kvstore.Stats {
-	var agg kvstore.Stats
-	for _, st := range r.stores {
-		s := st.Stats()
-		agg.Puts += s.Puts
-		agg.Gets += s.Gets
-		agg.Deletes += s.Deletes
-		agg.Scans += s.Scans
-		agg.Fallbacks += s.Fallbacks
-		agg.Retrains += s.Retrains
-		agg.WornWrites += s.WornWrites
-		agg.Retired += s.Retired
-		agg.Relocations += s.Relocations
-	}
-	return agg
-}
-
-// StatsPerShard returns each shard's own counter snapshot.
-func (r *Router) StatsPerShard() []kvstore.Stats {
-	out := make([]kvstore.Stats, len(r.stores))
-	for i, st := range r.stores {
-		out[i] = st.Stats()
-	}
-	return out
-}
-
-// ResetStats resets every shard's store-level counters.
-func (r *Router) ResetStats() {
-	for _, st := range r.stores {
-		st.ResetStats()
-	}
-}
-
-// Health aggregates capacity over all shards. Degraded is true when ANY
-// shard has crossed its degradation threshold: keys hashing to a degraded
-// shard fail allocation even while other shards have room, so the
-// aggregate must surface the weakest shard, not the average.
-func (r *Router) Health() kvstore.Health {
-	var agg kvstore.Health
-	for _, st := range r.stores {
-		h := st.Health()
-		agg.DataSegments += h.DataSegments
-		agg.Retired += h.Retired
-		agg.LiveKeys += h.LiveKeys
-		agg.PoolFree += h.PoolFree
-		agg.Degraded = agg.Degraded || h.Degraded
-	}
-	return agg
-}
-
-// HealthPerShard returns each shard's own capacity snapshot.
-func (r *Router) HealthPerShard() []kvstore.Health {
-	out := make([]kvstore.Health, len(r.stores))
-	for i, st := range r.stores {
-		out[i] = st.Health()
+// serving returns the stores currently serving, skipping drained shards.
+func (r *Router) serving() []*kvstore.Store {
+	out := make([]*kvstore.Store, 0, len(r.shards))
+	for _, sh := range r.shards {
+		if st := sh.Serving(); st != nil {
+			out = append(out, st)
+		}
 	}
 	return out
 }
 
 // Scrub examines up to n segments in total, splitting the budget evenly
-// across shards. The n%N remainder units are handed out round-robin,
-// starting one past where the previous call's remainder ended: with a
-// budget smaller than the shard count the even share rounds to zero, and a
-// fixed remainder assignment would scrub the first shards forever while
-// later shards' zones rot unexamined. Each shard also keeps its own
-// segment cursor, so repeated calls sweep every shard's whole zone. The
-// aggregated report is returned; on error the partial report and the first
-// error are.
+// across the shards that still have a serving store. The remainder units
+// are handed out round-robin, starting where the previous call's remainder
+// ended: with a budget smaller than the shard count the even share rounds
+// to zero, and a fixed remainder assignment would scrub the first shards
+// forever while later shards' zones rot unexamined. Each store also keeps
+// its own segment cursor, so repeated calls sweep every shard's whole
+// zone. n <= 0 examines nothing. The aggregated report is returned; on
+// error the partial report and the first error are.
 func (r *Router) Scrub(n int) (kvstore.ScrubReport, error) {
 	var agg kvstore.ScrubReport
-	per, rem := n/len(r.stores), n%len(r.stores)
-	r.scrubMu.Lock()
-	start := r.scrubStart
-	r.scrubStart = (start + rem) % len(r.stores)
-	r.scrubMu.Unlock()
-	for i, st := range r.stores {
+	stores := r.serving()
+	if n <= 0 || len(stores) == 0 {
+		return agg, nil
+	}
+	per, rem := n/len(stores), n%len(stores)
+	start := int((r.scrubUnits.Add(uint64(rem)) - uint64(rem)) % uint64(len(stores)))
+	for i, st := range stores {
 		quota := per
-		if d := i - start; (d+len(r.stores))%len(r.stores) < rem {
+		if (i-start+len(stores))%len(stores) < rem {
 			quota++
 		}
 		if quota == 0 {
 			continue
 		}
 		rep, err := st.Scrub(quota)
-		agg.Scanned += rep.Scanned
-		agg.Relocated += rep.Relocated
-		agg.Retired += rep.Retired
-		agg.Lost += rep.Lost
+		agg.Add(rep)
 		if err != nil {
 			return agg, err
 		}
@@ -260,27 +256,25 @@ func (r *Router) Scrub(n int) (kvstore.ScrubReport, error) {
 	return agg, nil
 }
 
-// NeedsRetrain reports whether any shard's pool is running low.
+// NeedsRetrain reports whether any serving store's pool is running low.
 func (r *Router) NeedsRetrain() bool {
-	for _, st := range r.stores {
-		if st.NeedsRetrain() {
+	for _, sh := range r.shards {
+		if st := sh.Serving(); st != nil && st.NeedsRetrain() {
 			return true
 		}
 	}
 	return false
 }
 
-// Retrain retrains every shard's model concurrently (each shard trains on
-// its own device zone only) and returns the joined errors, if any. Shards
-// keep serving while their retrain is in flight — see
+// Retrain retrains every serving store's model concurrently (each trains
+// on its own device zone only) and returns the joined errors, if any.
+// Shards keep serving while their retrain is in flight — see
 // kvstore.Store.Retrain for the per-shard contract.
 func (r *Router) Retrain() error {
-	if len(r.stores) == 1 {
-		return r.stores[0].Retrain()
-	}
-	errs := make([]error, len(r.stores))
+	stores := r.serving()
+	errs := make([]error, len(stores))
 	var wg sync.WaitGroup
-	for i, st := range r.stores {
+	for i, st := range stores {
 		wg.Add(1)
 		go func(i int, st *kvstore.Store) {
 			defer wg.Done()
@@ -291,10 +285,10 @@ func (r *Router) Retrain() error {
 	return errors.Join(errs...)
 }
 
-// Quiesce blocks until every shard's in-flight background retrain has
-// completed; see kvstore.Store.Quiesce.
+// Quiesce blocks until every serving store's in-flight background retrain
+// has completed; see kvstore.Store.Quiesce.
 func (r *Router) Quiesce() {
-	for _, st := range r.stores {
+	for _, st := range r.serving() {
 		st.Quiesce()
 	}
 }

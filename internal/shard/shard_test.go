@@ -19,7 +19,7 @@ func quickModelCfg(seed int64) core.Config {
 // newRouter builds n independent stores of numSegs segments each.
 func newRouter(t *testing.T, n, segSize, numSegs int, opts kvstore.Options) *Router {
 	t.Helper()
-	stores := make([]*kvstore.Store, n)
+	stores := make([]Shard, n)
 	for i := range stores {
 		dev, err := nvm.NewDevice(nvm.DefaultConfig(segSize, numSegs))
 		if err != nil {
@@ -87,7 +87,7 @@ func TestRoutedOpsAndLen(t *testing.T) {
 			t.Fatalf("Get(%d) = (%q,%v,%v)", k, v, ok, err)
 		}
 		for i := 0; i < r.N(); i++ {
-			_, ok, err := r.Store(i).Get(k)
+			_, ok, err := r.Serving(i).Get(k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,18 +113,27 @@ func TestRoutedOpsAndLen(t *testing.T) {
 	if r.Len() != keys/2 {
 		t.Fatalf("Len after deletes = %d, want %d", r.Len(), keys/2)
 	}
-	st := r.Stats()
-	if st.Puts != keys || st.Deletes != keys/2 {
-		t.Fatalf("aggregated Stats = %+v", st)
+	if st := sumStats(r); st.Puts != keys || st.Deletes != keys/2 {
+		t.Fatalf("Stats summed over shards = %+v", st)
 	}
-	per := r.StatsPerShard()
-	var sum uint64
-	for _, s := range per {
-		sum += s.Puts
+}
+
+// sumStats folds every shard's serving-store counters.
+func sumStats(r *Router) kvstore.Stats {
+	var agg kvstore.Stats
+	for i := 0; i < r.N(); i++ {
+		agg.Add(r.Serving(i).Stats())
 	}
-	if sum != keys {
-		t.Fatalf("per-shard Puts sum to %d, want %d", sum, keys)
+	return agg
+}
+
+// sumHealth folds every shard's serving-store capacity.
+func sumHealth(r *Router) kvstore.Health {
+	var agg kvstore.Health
+	for i := 0; i < r.N(); i++ {
+		agg.Add(r.Serving(i).Health())
 	}
+	return agg
 }
 
 func TestScanMergesInKeyOrder(t *testing.T) {
@@ -177,29 +186,28 @@ func TestScanMergesInKeyOrder(t *testing.T) {
 
 func TestHealthAndScrubAggregate(t *testing.T) {
 	r := newRouter(t, 2, 32, 64, kvstore.Options{DegradeThreshold: 0.05})
-	h := r.Health()
+	h := sumHealth(r)
 	if h.DataSegments != 128 || h.PoolFree != 128 || h.Degraded {
 		t.Fatalf("fresh Health = %+v", h)
 	}
 	// Fence enough of shard 0's zone to degrade it; shard 1 stays clean.
 	for a := 0; a < 8; a++ {
-		if err := r.Store(0).Device().FailSegment(a); err != nil {
+		if err := r.Serving(0).Device().FailSegment(a); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := r.Scrub(128); err != nil {
 		t.Fatal(err)
 	}
-	h = r.Health()
+	h = sumHealth(r)
 	if h.Retired < 4 {
 		t.Fatalf("Health.Retired = %d, want >= 4 after scrubbing fenced segments", h.Retired)
 	}
 	if !h.Degraded {
 		t.Fatalf("aggregate Health must surface the degraded shard: %+v", h)
 	}
-	per := r.HealthPerShard()
-	if !per[0].Degraded || per[1].Degraded {
-		t.Fatalf("per-shard degradation = %v/%v, want shard 0 only", per[0].Degraded, per[1].Degraded)
+	if d0, d1 := r.Serving(0).Health().Degraded, r.Serving(1).Health().Degraded; !d0 || d1 {
+		t.Fatalf("per-shard degradation = %v/%v, want shard 0 only", d0, d1)
 	}
 	rep, err := r.Scrub(128)
 	if err != nil {
@@ -217,13 +225,21 @@ func TestScrubSmallBudgetRotatesAcrossShards(t *testing.T) {
 	// segment is its own address 0, so a shard retires a segment exactly
 	// when a Scrub budget unit actually reaches it.
 	for i := 0; i < n; i++ {
-		if err := r.Store(i).Device().FailSegment(0); err != nil {
+		if err := r.Serving(i).Device().FailSegment(0); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// A non-positive budget examines nothing and leaves the rotation where
+	// it was: a negative remainder must not walk the start backwards.
+	for _, budget := range []int{0, -3} {
+		rep, err := r.Scrub(budget)
+		if err != nil || rep != (kvstore.ScrubReport{}) {
+			t.Fatalf("Scrub(%d) = (%+v, %v), want an empty report", budget, rep, err)
+		}
+	}
 	// A budget of 1 over 4 shards rounds every even share to zero; the
-	// remainder must rotate, so 4 calls reach all 4 shards. (The old fixed
-	// split handed the single unit to shard 0 every time.)
+	// remainder must rotate, so 4 calls reach all 4 shards in order. (The
+	// old fixed split handed the single unit to shard 0 every time.)
 	for call := 0; call < n; call++ {
 		rep, err := r.Scrub(1)
 		if err != nil {
@@ -232,9 +248,12 @@ func TestScrubSmallBudgetRotatesAcrossShards(t *testing.T) {
 		if rep.Scanned != 1 {
 			t.Fatalf("call %d scanned %d segments, want exactly the budget of 1", call, rep.Scanned)
 		}
+		if got := r.Serving(call).Health().Retired; got != 1 {
+			t.Fatalf("unit budget %d did not reach shard %d (retired %d)", call, call, got)
+		}
 	}
 	for i := 0; i < n; i++ {
-		if got := r.Store(i).Health().Retired; got != 1 {
+		if got := r.Serving(i).Health().Retired; got != 1 {
 			t.Fatalf("shard %d retired %d segments after 4 unit budgets, want 1 (remainder not rotated)", i, got)
 		}
 	}
@@ -254,12 +273,7 @@ func TestRetrainFansOut(t *testing.T) {
 	if err := r.Retrain(); err != nil {
 		t.Fatal(err)
 	}
-	st := r.Stats()
-	if st.Retrains != 2 {
-		t.Fatalf("aggregated Retrains = %d, want one per shard", st.Retrains)
-	}
-	r.ResetStats()
-	if got := r.Stats(); got != (kvstore.Stats{}) {
-		t.Fatalf("Stats after ResetStats = %+v, want zero", got)
+	if st := sumStats(r); st.Retrains != 2 {
+		t.Fatalf("Retrains summed over shards = %d, want one per shard", st.Retrains)
 	}
 }

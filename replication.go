@@ -3,9 +3,7 @@ package e2nvm
 import (
 	"e2nvm/internal/dap"
 	"e2nvm/internal/kvstore"
-	"e2nvm/internal/nvm"
 	"e2nvm/internal/replica"
-	"e2nvm/internal/shard"
 )
 
 // Role and shard lifecycle names reported by Replication and Health.
@@ -43,12 +41,8 @@ type ShardReplication struct {
 // Replication snapshots every shard's replica-set state. It returns nil
 // when ReplicationFactor is 1.
 func (s *Store) Replication() []ShardReplication {
-	if s.cluster == nil {
-		return nil
-	}
-	status := s.cluster.Status()
-	out := make([]ShardReplication, len(status))
-	for i, gs := range status {
+	var out []ShardReplication
+	for _, gs := range s.replStatus() {
 		sr := ShardReplication{
 			Shard:     gs.Group,
 			State:     gs.State,
@@ -57,26 +51,16 @@ func (s *Store) Replication() []ShardReplication {
 			Lost:      gs.Lost,
 		}
 		for _, rs := range gs.Replicas {
-			sr.Replicas = append(sr.Replicas, ReplicaInfo{
-				Role:    rs.Role,
-				Shipped: rs.Shipped,
-				Applied: rs.Applied,
-				Lag:     rs.Lag,
-			})
+			sr.Replicas = append(sr.Replicas, ReplicaInfo(rs))
 		}
-		out[i] = sr
+		out = append(out, sr)
 	}
 	return out
 }
 
 // ReplicationFactor returns the configured replicas per shard (1 when
 // unreplicated).
-func (s *Store) ReplicationFactor() int {
-	if s.cluster == nil {
-		return 1
-	}
-	return len(s.cluster.Devices()) / s.cluster.N() // every group has the same replica count
-}
+func (s *Store) ReplicationFactor() int { return len(s.shardDevices(0)) }
 
 // CheckHealth sweeps a replicated store for conditions failure-driven
 // handling has not observed yet: shards whose leader reports Degraded fail
@@ -118,165 +102,4 @@ func (c Config) newCluster(stores []*kvstore.Store, starts []int, keyTemp func(u
 		specs[i] = spec
 	}
 	return replica.New(specs, replica.Config{})
-}
-
-// clusterPutBatch applies a batch through the replicated write path. The
-// batch contract matches the router's — index order, first failure by
-// index, optional per-item errs — but each pair routes individually:
-// replicated writes synchronize per shard on the replica set, so there is
-// no per-shard lock worth amortizing.
-func (s *Store) clusterPutBatch(keys []uint64, values [][]byte, errs []error) error {
-	if len(values) != len(keys) || (errs != nil && len(errs) != len(keys)) {
-		return shard.ErrBadBatch
-	}
-	var first error
-	for i, k := range keys {
-		err := s.cluster.Put(k, values[i])
-		if errs != nil {
-			errs[i] = err
-		}
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// clusterGetBatch reads a batch through the replicated read path, with the
-// router's contract: values land in dsts[i] (grown as needed), liveness in
-// oks[i], per-item errors in errs when non-nil.
-func (s *Store) clusterGetBatch(keys []uint64, dsts [][]byte, oks []bool, errs []error) error {
-	if len(dsts) != len(keys) || len(oks) != len(keys) || (errs != nil && len(errs) != len(keys)) {
-		return shard.ErrBadBatch
-	}
-	var first error
-	for i, k := range keys {
-		v, ok, err := s.cluster.GetInto(k, dsts[i])
-		dsts[i], oks[i] = v, ok
-		if errs != nil {
-			errs[i] = err
-		}
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// clusterMetrics aggregates over every device in the cluster — leaders,
-// followers, and dead replicas all spend real energy and wear — plus the
-// stores still serving, and adds the replication counters.
-func (s *Store) clusterMetrics() Metrics {
-	var ds nvm.Stats
-	var ss kvstore.Stats
-	for _, dev := range s.cluster.Devices() {
-		addDeviceStats(&ds, dev.Stats())
-	}
-	for _, st := range s.cluster.ServingStores() {
-		addStoreStats(&ss, st.Stats())
-	}
-	m := metricsFrom(ds, ss)
-	s.addCacheMetrics(&m)
-	m.Failovers = s.cluster.Failovers()
-	for _, gs := range s.cluster.Status() {
-		m.MigratedRecords += gs.Migrated
-	}
-	return m
-}
-
-// clusterShardMetrics reports each shard's replica set as one entry:
-// device counters summed over the whole set (the shard's true wear and
-// energy bill), store counters from whichever store still serves it.
-func (s *Store) clusterShardMetrics() []Metrics {
-	out := make([]Metrics, s.cluster.N())
-	status := s.cluster.Status()
-	for i := range out {
-		var ds nvm.Stats
-		var ss kvstore.Stats
-		for _, dev := range s.cluster.GroupDevices(i) {
-			addDeviceStats(&ds, dev.Stats())
-		}
-		if st := s.cluster.ServingStore(i); st != nil {
-			addStoreStats(&ss, st.Stats())
-		}
-		out[i] = metricsFrom(ds, ss)
-		out[i].Failovers = status[i].Failovers
-		out[i].MigratedRecords = status[i].Migrated
-	}
-	return out
-}
-
-// clusterHealth aggregates capacity over the stores still serving and
-// summarizes failover and migration activity.
-func (s *Store) clusterHealth() Health {
-	var agg kvstore.Health
-	for _, st := range s.cluster.ServingStores() {
-		h := st.Health()
-		agg.DataSegments += h.DataSegments
-		agg.Retired += h.Retired
-		agg.LiveKeys += h.LiveKeys
-		agg.PoolFree += h.PoolFree
-		agg.Degraded = agg.Degraded || h.Degraded
-	}
-	out := healthFrom(agg)
-	out.Failovers = s.cluster.Failovers()
-	out.DrainedShards = s.cluster.DrainedGroups()
-	for _, gs := range s.cluster.Status() {
-		for _, rs := range gs.Replicas {
-			if rs.Role == RoleFollower && rs.Lag > out.ReplicaLag {
-				out.ReplicaLag = rs.Lag
-			}
-		}
-	}
-	return out
-}
-
-// clusterShardHealth reports each shard's serving store capacity plus its
-// lifecycle state and worst follower lag. A drained shard reports only the
-// replication fields: its records live on other shards now.
-func (s *Store) clusterShardHealth() []Health {
-	status := s.cluster.Status()
-	out := make([]Health, s.cluster.N())
-	for i := range out {
-		if st := s.cluster.ServingStore(i); st != nil {
-			out[i] = healthFrom(st.Health())
-		}
-		out[i].State = status[i].State
-		out[i].Failovers = status[i].Failovers
-		for _, rs := range status[i].Replicas {
-			if rs.Role == RoleFollower && rs.Lag > out[i].ReplicaLag {
-				out[i].ReplicaLag = rs.Lag
-			}
-		}
-	}
-	return out
-}
-
-// addDeviceStats folds one device snapshot into an aggregate (sums, except
-// the max for MaxSegmentWrites).
-func addDeviceStats(agg *nvm.Stats, d nvm.Stats) {
-	agg.Writes += d.Writes
-	agg.Reads += d.Reads
-	agg.BitsFlipped += d.BitsFlipped
-	agg.BitsWritten += d.BitsWritten
-	agg.EnergyPJ += d.EnergyPJ
-	agg.WriteLatencyNs += d.WriteLatencyNs
-	agg.LinesWritten += d.LinesWritten
-	agg.LinesSkipped += d.LinesSkipped
-	agg.WearLevelMoves += d.WearLevelMoves
-	agg.StuckBits += d.StuckBits
-	agg.FailedSegments += d.FailedSegments
-	if d.MaxSegmentWrites > agg.MaxSegmentWrites {
-		agg.MaxSegmentWrites = d.MaxSegmentWrites
-	}
-}
-
-// addStoreStats folds one store snapshot into an aggregate.
-func addStoreStats(agg *kvstore.Stats, st kvstore.Stats) {
-	agg.Fallbacks += st.Fallbacks
-	agg.Steered += st.Steered
-	agg.Retrains += st.Retrains
-	agg.WornWrites += st.WornWrites
-	agg.Retired += st.Retired
-	agg.Relocations += st.Relocations
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -78,35 +79,112 @@ func TestShardsValidation(t *testing.T) {
 	}
 }
 
-// TestShardedMetricsAggregate checks that the facade's Metrics sums the
-// shards' counters and that ShardMetrics is index-aligned with them.
+// TestShardedMetricsAggregate checks, across {RF 1, 2} × {cache off, on},
+// that every additive Metrics field is the sum over ShardMetrics (which is
+// index-aligned with the shards) and MaxSegmentWrites is the maximum. The
+// two ratios are derived from the sums, and the cache counters exist only
+// in the aggregate (the cache fronts the whole keyspace, not one shard).
 func TestShardedMetricsAggregate(t *testing.T) {
-	s, err := Open(shardedConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(0); k < 30; k++ {
-		if err := s.Put(k, []byte{byte(k)}); err != nil {
-			t.Fatal(err)
+	for _, rf := range []int{1, 2} {
+		for _, cached := range []bool{false, true} {
+			t.Run(fmt.Sprintf("rf=%d/cache=%v", rf, cached), func(t *testing.T) {
+				cfg := replConfig(3, rf)
+				cfg.CacheEnabled = cached
+				s, err := Open(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				// Write, read (with the cache on this is what makes keys
+				// known to the steering policy), and overwrite.
+				for round := 0; round < 3; round++ {
+					for k := uint64(0); k < 30; k++ {
+						if err := s.Put(k, []byte{byte(k), byte(round)}); err != nil {
+							t.Fatal(err)
+						}
+						if _, _, err := s.Get(k); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if rf > 1 {
+					// One failover, so the replication counters are live too.
+					fenceShard(t, s, 0)
+					for _, k := range keysOfShard(3, 0, 4) {
+						if err := s.Put(k, []byte("failed-over")); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				m := s.Metrics()
+				per := s.ShardMetrics()
+				if len(per) != 3 {
+					t.Fatalf("ShardMetrics len = %d", len(per))
+				}
+				if m.Writes == 0 || m.BitsWritten == 0 || m.Reads == 0 {
+					t.Fatalf("aggregate Metrics did not count activity: %+v", m)
+				}
+				if cached && (m.SteeredPlacements == 0 || m.CacheHits+m.CacheMisses == 0) {
+					t.Fatalf("cache on, but nothing steered or no cache traffic: %+v", m)
+				}
+				if rf > 1 && m.Failovers != 1 {
+					t.Fatalf("Failovers = %d, want 1", m.Failovers)
+				}
+				agg := reflect.ValueOf(m)
+				for f := 0; f < agg.NumField(); f++ {
+					name := agg.Type().Field(f).Name
+					var sumU, maxU uint64
+					var sumI int64
+					var sumF float64
+					for _, pm := range per {
+						switch v := reflect.ValueOf(pm).Field(f); v.Kind() {
+						case reflect.Uint64:
+							sumU += v.Uint()
+							maxU = max(maxU, v.Uint())
+						case reflect.Int:
+							sumI += v.Int()
+						case reflect.Float64:
+							sumF += v.Float()
+						default:
+							t.Fatalf("Metrics.%s has kind %s: teach this test how it aggregates", name, v.Kind())
+						}
+					}
+					got := agg.Field(f)
+					switch name {
+					case "AvgWriteLatencyNs", "FlipsPerDataBit":
+						// Ratios of summed fields, not sums themselves.
+					case "CacheHits", "CacheMisses", "CacheEvictions":
+						if sumU != 0 {
+							t.Errorf("per-shard %s sums to %d, want 0 (aggregate-only)", name, sumU)
+						}
+					case "MaxSegmentWrites":
+						if got.Uint() != maxU {
+							t.Errorf("MaxSegmentWrites = %d, want the per-shard max %d", got.Uint(), maxU)
+						}
+					default:
+						switch got.Kind() {
+						case reflect.Uint64:
+							if got.Uint() != sumU {
+								t.Errorf("%s = %d, per-shard sum %d", name, got.Uint(), sumU)
+							}
+						case reflect.Int:
+							if got.Int() != sumI {
+								t.Errorf("%s = %d, per-shard sum %d", name, got.Int(), sumI)
+							}
+						case reflect.Float64:
+							if diff := got.Float() - sumF; diff > 1e-6*sumF || diff < -1e-6*sumF {
+								t.Errorf("%s = %g, per-shard sum %g", name, got.Float(), sumF)
+							}
+						}
+					}
+				}
+				for i, pm := range per {
+					if pm.Writes == 0 {
+						t.Fatalf("shard %d saw no writes; per-shard = %+v", i, per)
+					}
+				}
+			})
 		}
-	}
-	m := s.Metrics()
-	if m.Writes == 0 || m.BitsWritten == 0 {
-		t.Fatalf("aggregate Metrics did not count writes: %+v", m)
-	}
-	per := s.ShardMetrics()
-	if len(per) != 3 {
-		t.Fatalf("ShardMetrics len = %d", len(per))
-	}
-	var writes uint64
-	for _, pm := range per {
-		writes += pm.Writes
-		if pm.Writes == 0 {
-			t.Fatalf("a shard saw no writes; per-shard = %+v", per)
-		}
-	}
-	if writes != m.Writes {
-		t.Fatalf("per-shard writes sum %d != aggregate %d", writes, m.Writes)
 	}
 }
 

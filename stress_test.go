@@ -390,7 +390,7 @@ func TestConcurrentStressZipfCache(t *testing.T) {
 	// authoritative bytes and carries at least its acknowledged generation.
 	for k := uint64(0); k < nKeys; k++ {
 		cv, cok, cerr := s.Get(k)
-		uv, uok, uerr := s.uncachedGetInto(k, nil)
+		uv, uok, uerr := s.router.GetInto(k, nil)
 		if cerr != nil || uerr != nil || cok != uok || !bytes.Equal(cv, uv) {
 			t.Fatalf("cache/store divergence on %d: (%q,%v,%v) vs (%q,%v,%v)", k, cv, cok, cerr, uv, uok, uerr)
 		}

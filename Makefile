@@ -67,16 +67,16 @@ chaos:
 	$(GO) test -race -run 'TestChaos|TestCrashMatrix|TestReplicatedFailoverAndMigration' \
 		./internal/replica .
 
-# Regenerate the committed micro-benchmark baseline (Put/Get/GetInto/Delete
-# ns/op, B/op, allocs/op plus bit-flip counters, the replicated-write,
-# degraded-serving, hot-cache and steered-placement rows, and the
-# concurrent shards×cpu throughput sweep).
+# The repo's benchmark (bench/, declared in BENCHMARK.json), full length:
+# all four workloads at the default seed and -seconds, untraced end-to-end
+# pass plus traced per-layer pass, every read checked against a shadow map.
+# This regenerates the committed baseline every number in README.md,
+# DESIGN.md and EXPERIMENTS.md is quoted from (~3 min, mostly training).
 bench:
-	$(GO) run ./cmd/e2nvm-bench -kvbench -out BENCH_PR9.json
+	$(GO) run ./bench -out BENCH_PR14.json
 
-# The repo's end-to-end benchmark (bench/, declared in BENCHMARK.json) in
-# its short form: every workload once with the traced per-layer pass, every
-# read checked against a shadow map. Numbers from -quick are a smoke
-# signal, not a baseline; see bench/README.md for the full runs.
+# The same program with -quick (1/20-length tapes): a smoke run that every
+# workload still opens, serves and verifies — what CI's bench-smoke job
+# runs. Its numbers are not a baseline; see bench/README.md.
 bench-e2e:
 	$(GO) run ./bench -quick

@@ -41,6 +41,14 @@ func TestCacheHitMissMetrics(t *testing.T) {
 	if m.CacheHits < 100 || m.CacheMisses == 0 {
 		t.Fatalf("cache counters: %+v", m)
 	}
+	buf := make([]byte, 0, 8)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok, err := s.GetInto(1, buf); err != nil || !ok {
+			t.Fatalf("hot GetInto = (%v,%v)", ok, err)
+		}
+	}); n != 0 {
+		t.Fatalf("cache-hit GetInto allocates %v per op, want 0", n)
+	}
 	h := s.Health()
 	if h.CacheEntries != 1 || h.CacheBytes <= 0 {
 		t.Fatalf("health cache fields: %+v", h)

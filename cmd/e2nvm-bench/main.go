@@ -23,24 +23,15 @@ import (
 
 func main() {
 	var (
-		list    = flag.Bool("list", false, "list experiment ids and exit")
-		exp     = flag.String("exp", "", "experiment id to run (e.g. fig10)")
-		all     = flag.Bool("all", false, "run every experiment")
-		scale   = flag.Float64("scale", 1.0, "workload scale factor (1.0 = reference size)")
-		seed    = flag.Int64("seed", 42, "random seed")
-		asJSON  = flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-		kvbench = flag.Bool("kvbench", false, "run the Put/Get/Delete micro-benchmarks and emit a JSON baseline")
-		out     = flag.String("out", "-", "output file for -kvbench (default stdout)")
+		list   = flag.Bool("list", false, "list experiment ids and exit")
+		exp    = flag.String("exp", "", "experiment id to run (e.g. fig10)")
+		all    = flag.Bool("all", false, "run every experiment")
+		scale  = flag.Float64("scale", 1.0, "workload scale factor (1.0 = reference size)")
+		seed   = flag.Int64("seed", 42, "random seed")
+		asJSON = flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	)
 	flag.Parse()
 
-	if *kvbench {
-		if err := runKVBench(*out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)

@@ -20,14 +20,15 @@
 // Ten whole-program analyzers then run once over every loaded package,
 // following the call graph across package boundaries:
 //
-//	hotpathalloc     lint:hotpath roots must not reach heap allocations
+//	hotpathalloc     lint:hotpath and lint:kernelpure roots must not reach
+//	                 heap allocations
 //	errflow          exported errors of the storage packages wrap sentinels
 //	deepdeterminism  internal/experiments must stay bit-reproducible
 //	lockorder        the program-wide lock-acquisition graph must be acyclic
 //	atomicmix        each struct field sticks to one access discipline
 //	goroutinelife    every go statement has a provable join or shutdown edge
-//	kernelpure       lint:kernelpure roots reach no map iteration, global
-//	                 writes, float ==, or allocation
+//	kernelpure       lint:kernelpure roots reach no map iteration and no
+//	                 package-level writes
 //	escapes          no compiler-verified heap escape is reachable from a
 //	                 lint:hotpath or lint:kernelpure root
 //	nobce            lint:nobce functions compile with zero bounds checks

@@ -1,7 +1,9 @@
 // Package hotpathalloc defines an inter-procedural Analyzer that keeps the
 // store's hot paths allocation-free.
 //
-// A function marked with a `// lint:hotpath` doc comment is a root; the
+// A function marked with a `// lint:hotpath` doc comment is a root, and so
+// is one marked `// lint:kernelpure` (an inference kernel is allocation-free
+// by the same contract; the escapes analyzer takes the same root set); the
 // analyzer walks the call graph from every root and flags heap-allocating
 // constructs in any transitively reached function:
 //
@@ -32,15 +34,17 @@ import (
 	"strings"
 
 	"e2nvm/internal/analysis"
+	"e2nvm/internal/analysis/kernelpure"
 )
 
 // Marker is the doc-comment marker that makes a function a hot-path root.
 const Marker = "lint:hotpath"
 
-// Analyzer flags heap allocations reachable from lint:hotpath roots.
+// Analyzer flags heap allocations reachable from lint:hotpath and
+// lint:kernelpure roots.
 var Analyzer = &analysis.ProgramAnalyzer{
 	Name: "hotpathalloc",
-	Doc: "functions marked lint:hotpath, and everything they transitively call, " +
+	Doc: "functions marked lint:hotpath or lint:kernelpure, and everything they transitively call, " +
 		"must not heap-allocate; suppress cold branches with lint:allow hotpathalloc",
 	Run: run,
 }
@@ -49,7 +53,7 @@ func run(pass *analysis.ProgramPass) error {
 	g := pass.Graph
 	var roots []*analysis.FuncNode
 	for _, n := range g.Nodes() {
-		if n.DocContains(Marker) {
+		if n.DocContains(Marker) || n.DocContains(kernelpure.Marker) {
 			roots = append(roots, n)
 		}
 	}
@@ -64,16 +68,14 @@ func run(pass *analysis.ProgramPass) error {
 		if !ok {
 			continue
 		}
-		CheckFunc(pass, n, step.Root, reach, "hot path")
+		checkFunc(pass, n, step.Root, reach)
 	}
 	return nil
 }
 
-// CheckFunc scans one reached function's own body for allocating
-// constructs and reports them against the root that reaches it, labelled
-// with kind ("hot path" here; the kernelpure analyzer reuses the scan
-// with its own label and root set).
-func CheckFunc(pass *analysis.ProgramPass, n, root *analysis.FuncNode, reach map[*analysis.FuncNode]analysis.ReachStep, kind string) {
+// checkFunc scans one reached function's own body for allocating
+// constructs and reports them against the root that reaches it.
+func checkFunc(pass *analysis.ProgramPass, n, root *analysis.FuncNode, reach map[*analysis.FuncNode]analysis.ReachStep) {
 	cold := ColdRanges(n)
 	flag := func(site token.Pos, what string) {
 		for _, r := range cold {
@@ -85,11 +87,11 @@ func CheckFunc(pass *analysis.ProgramPass, n, root *analysis.FuncNode, reach map
 			return
 		}
 		if n == root {
-			pass.Reportf(site, "%s on %s %s", what, kind, root.Name())
+			pass.Reportf(site, "%s on hot path %s", what, root.Name())
 			return
 		}
-		pass.Reportf(root.Pos(), "%s %s reaches %s in %s (%s) at %s",
-			kind, root.Name(), what, n.Name(), analysis.PathTo(reach, n), pass.Fset.Position(site))
+		pass.Reportf(root.Pos(), "hot path %s reaches %s in %s (%s) at %s",
+			root.Name(), what, n.Name(), analysis.PathTo(reach, n), pass.Fset.Position(site))
 	}
 
 	info := n.Pkg.TypesInfo

@@ -6,17 +6,15 @@
 //   - no map iteration (range order is randomized per run — a kernel that
 //     ranges a map gives different segment placements on identical input);
 //   - no writes to package-level state (a kernel that mutates globals
-//     cannot be called concurrently or replayed);
-//   - no float == or != (bit-exact float comparison silently diverges
-//     between the float reference path and the integer bit-native path);
-//   - no heap allocation and no calls through unresolvable function
-//     values — the same contract as hotpathalloc, re-run here over the
-//     kernelpure root set so the purity guarantee is self-contained.
+//     cannot be called concurrently or replayed).
 //
-// The alloc scan honors hotpathalloc's cold-exit rule (a block ending in
-// panic or an error return is off the measured path). `lint:allow
-// kernelpure` on a site suppresses one finding; on a call site it prunes
-// the traversal edge.
+// The other two halves of the kernel contract belong to the analyzers that
+// own them: hotpathalloc and escapes take every lint:kernelpure root as one
+// of theirs (no heap allocation, no calls through unresolvable function
+// values), and floateq runs over every library package (no float == or !=).
+//
+// `lint:allow kernelpure` on a site suppresses one finding; on a call site
+// it prunes the traversal edge.
 package kernelpure
 
 import (
@@ -25,7 +23,6 @@ import (
 	"go/types"
 
 	"e2nvm/internal/analysis"
-	"e2nvm/internal/analysis/hotpathalloc"
 )
 
 // Marker is the doc-comment marker that makes a function a kernel root.
@@ -35,8 +32,7 @@ const Marker = "lint:kernelpure"
 var Analyzer = &analysis.ProgramAnalyzer{
 	Name: "kernelpure",
 	Doc: "functions marked lint:kernelpure, and everything they transitively call, " +
-		"must not iterate maps, write package-level state, compare floats with == or !=, " +
-		"or heap-allocate; suppress with lint:allow kernelpure",
+		"must not iterate maps or write package-level state; suppress with lint:allow kernelpure",
 	Run: run,
 }
 
@@ -59,16 +55,13 @@ func run(pass *analysis.ProgramPass) error {
 		if !ok {
 			continue
 		}
-		// The allocation-free half of the contract is hotpathalloc's scan,
-		// re-rooted here (this also flags calls through function values).
-		hotpathalloc.CheckFunc(pass, n, step.Root, reach, "kernel")
 		checkPurity(pass, n, step.Root, reach)
 	}
 	return nil
 }
 
-// checkPurity scans one reached function's own body for map iteration,
-// package-level state writes, and float equality.
+// checkPurity scans one reached function's own body for map iteration and
+// package-level state writes.
 func checkPurity(pass *analysis.ProgramPass, n, root *analysis.FuncNode, reach map[*analysis.FuncNode]analysis.ReachStep) {
 	flag := func(site token.Pos, what string) {
 		if pass.Allowed(site) {
@@ -100,12 +93,6 @@ func checkPurity(pass *analysis.ProgramPass, n, root *analysis.FuncNode, reach m
 		case *ast.IncDecStmt:
 			if v := packageLevelTarget(info, x.X); v != nil {
 				flag(x.Pos(), "package-level state write (to "+v.Name()+")")
-			}
-		case *ast.BinaryExpr:
-			if x.Op == token.EQL || x.Op == token.NEQ {
-				if isFloat(info.Types[x.X].Type) || isFloat(info.Types[x.Y].Type) {
-					flag(x.Pos(), "float equality comparison ("+x.Op.String()+")")
-				}
 			}
 		}
 		return true
@@ -148,13 +135,4 @@ func packageLevelTarget(info *types.Info, e ast.Expr) *types.Var {
 			return nil
 		}
 	}
-}
-
-// isFloat reports whether t is a floating-point or complex type.
-func isFloat(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&(types.IsFloat|types.IsComplex) != 0
 }

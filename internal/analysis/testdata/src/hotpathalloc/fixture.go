@@ -47,6 +47,13 @@ func deep() int {
 	return *q
 }
 
+// Kernel carries only the kernel marker: it is a root all the same.
+//
+// lint:kernelpure
+func Kernel(n int) int {
+	return len(make([]int, n)) // want "make allocation on hot path hotpathalloc\.Kernel"
+}
+
 // Trim prunes its only call edge, declaring Cold a cold branch.
 //
 // lint:hotpath

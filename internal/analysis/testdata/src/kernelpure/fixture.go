@@ -18,7 +18,7 @@ func Classify(xs []float64, k int) int { // want "kernel kernelpure\.Classify re
 	hits++ // want "package-level state write \(to hits\) on kernel kernelpure\.Classify"
 	best := 0
 	for i := range xs {
-		if xs[i] == 0.5 { // want "float equality comparison \(==\) on kernel kernelpure\.Classify"
+		if xs[i] == 0.5 { // float equality is floateq's finding, not this analyzer's
 			continue
 		}
 		if score(xs[i]) > score(xs[best]) {
@@ -28,12 +28,8 @@ func Classify(xs []float64, k int) int { // want "kernel kernelpure\.Classify re
 	for range table { // want "map iteration \(randomized order breaks determinism\) on kernel kernelpure\.Classify"
 		best++
 	}
-	buf := make([]float64, k) // want "make allocation on kernel kernelpure\.Classify"
+	buf := make([]float64, k) // allocation is hotpathalloc's finding, not this analyzer's
 	_ = buf
-	if k != len(xs) {
-		panic("kernelpure: shape mismatch with a float compare " +
-			"that is never flagged because the block is a cold panic exit")
-	}
 	return best % k
 }
 

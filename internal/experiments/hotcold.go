@@ -28,7 +28,8 @@ func init() { register("exp-hotcold", HotCold) }
 // most-worn, so the wear-out cliff arrives later.
 //
 // Both halves are wall-clock free: the read side counts device reads, the
-// write side counts operations to retirement; latency belongs to kvbench.
+// write side counts operations to retirement; latency belongs to bench/
+// (the read-zipf-open workload).
 func HotCold(cfg RunConfig) (*Result, error) {
 	const segSize = 64
 	const k = 6

@@ -325,9 +325,9 @@ func TestForwardZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkForward measures the bit-native kernel at the kvbench store
-// geometry (64-byte segments, 512→128→10, K=8); BenchmarkForwardNaive is
-// the float path it replaces.
+// BenchmarkForward measures the bit-native kernel on one 64-byte segment
+// (512→128→10, K=8); BenchmarkForwardNaive is the float reference path at
+// the same geometry, so the pair reads as a ratio.
 func BenchmarkForward(b *testing.B) {
 	encH, encMu, cents := benchEncoder()
 	k, err := New(encH, encMu, cents)

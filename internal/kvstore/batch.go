@@ -30,6 +30,7 @@ func (s *Store) PutBatch(keys []uint64, values [][]byte, errs []error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var firstErr error
+	placed := 0
 	for lo := 0; lo < len(keys); lo += putBatchBlock {
 		hi := lo + putBatchBlock
 		if hi > len(keys) {
@@ -39,28 +40,24 @@ func (s *Store) PutBatch(keys []uint64, values [][]byte, errs []error) error {
 		if errs != nil {
 			blockErrs = errs[lo:hi]
 		}
-		if err := s.putBlockLocked(keys[lo:hi], values[lo:hi], blockErrs); err != nil && firstErr == nil {
+		n, err := s.putBlockLocked(keys[lo:hi], values[lo:hi], blockErrs)
+		placed += n
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	if s.mbPadding && s.putsSinceDensity >= densityRefreshEvery {
-		s.putsSinceDensity = 0
-		s.refreshDensityLocked()
-	}
-	if s.opts.AutoRetrain && s.pool.NeedsRetrain() {
-		s.retrainAsyncLocked() // lint:allow hotpathalloc — retraining is the deliberate slow path (§4.1.4)
-	}
+	s.afterPutsLocked(placed)
 	return firstErr
 }
 
 // putBlockLocked stages one block of records into the batch scratch,
 // predicts their clusters in one kernel pass, then places them in index
-// order. Per-item failures land in errs (when non-nil) as pre-constructed
-// sentinels or placement errors; the first failure is returned. Callers
-// hold s.mu.
+// order, returning how many it placed. Per-item failures land in errs (when
+// non-nil) as pre-constructed sentinels or placement errors; the first
+// failure is returned. Callers hold s.mu.
 //
 // lint:hotpath
-func (s *Store) putBlockLocked(keys []uint64, values [][]byte, errs []error) error {
+func (s *Store) putBlockLocked(keys []uint64, values [][]byte, errs []error) (int, error) {
 	segSize := s.dev.SegmentSize()
 	if cap(s.batchBuf) < putBatchBlock*segSize {
 		s.batchBuf = make([]byte, putBatchBlock*segSize) // lint:allow hotpathalloc — staging sized once to a block of segments
@@ -73,7 +70,7 @@ func (s *Store) putBlockLocked(keys []uint64, values [][]byte, errs []error) err
 	// so the blocked prediction sees all images at once.
 	imgs := s.batchImgs[:putBatchBlock]
 	idxs := s.batchIdx[:putBatchBlock]
-	staged := 0
+	staged, placed := 0, 0
 	var firstErr error
 	maxValue := s.MaxValue()
 	for i, key := range keys {
@@ -138,12 +135,9 @@ func (s *Store) putBlockLocked(keys []uint64, values [][]byte, errs []error) err
 			}
 			continue
 		}
-		s.stats.Puts++
-		if s.mbPadding {
-			s.putsSinceDensity++
-		}
+		placed++
 	}
-	return firstErr
+	return placed, firstErr
 }
 
 // GetBatch reads len(keys) values under a single lock acquisition,

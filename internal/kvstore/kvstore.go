@@ -523,9 +523,18 @@ func (s *Store) Put(key uint64, value []byte) error {
 	if err := s.putLocked(key, value); err != nil {
 		return err
 	}
-	s.stats.Puts++
+	s.afterPutsLocked(1)
+	return nil
+}
+
+// afterPutsLocked is the housekeeping every write entry point (Put,
+// PutIfAbsent, PutBatch) runs once per call after placing n records: count
+// them, advance the MemoryBased-padding density refresh, and launch a
+// background retrain when a cluster has run low. Callers hold s.mu.
+func (s *Store) afterPutsLocked(n int) {
+	s.stats.Puts += uint64(n)
 	if s.mbPadding {
-		if s.putsSinceDensity++; s.putsSinceDensity >= densityRefreshEvery {
+		if s.putsSinceDensity += n; s.putsSinceDensity >= densityRefreshEvery {
 			s.putsSinceDensity = 0
 			s.refreshDensityLocked()
 		}
@@ -533,7 +542,6 @@ func (s *Store) Put(key uint64, value []byte) error {
 	if s.opts.AutoRetrain && s.pool.NeedsRetrain() {
 		s.retrainAsyncLocked() // lint:allow hotpathalloc — retraining is the deliberate slow path (§4.1.4)
 	}
-	return nil
 }
 
 // PutIfAbsent writes the record only when no live record for key exists,
@@ -553,10 +561,7 @@ func (s *Store) PutIfAbsent(key uint64, value []byte) (bool, error) {
 	if err := s.putLocked(key, value); err != nil {
 		return false, err
 	}
-	s.stats.Puts++
-	if s.opts.AutoRetrain && s.pool.NeedsRetrain() {
-		s.retrainAsyncLocked()
-	}
+	s.afterPutsLocked(1)
 	return true, nil
 }
 
@@ -661,19 +666,15 @@ func (s *Store) writeRecordLocked(addr int, record []byte) error {
 	return s.writeSegmentLocked(addr, img)
 }
 
-// retireOrRecycleOldLocked invalidates a superseded record and recycles
-// its segment — or retires the segment when the invalidation write reveals
-// worn cells. The replacement record is already persisted and indexed; a
-// stale copy that cannot be invalidated loses to it by sequence number
-// during recovery. Callers hold s.mu.
+// retireOrRecycleOldLocked frees a superseded record's segment — or retires
+// the segment when the invalidation write reveals worn cells. The
+// replacement record is already persisted and indexed; a stale copy that
+// cannot be invalidated loses to it by sequence number during recovery.
+// Callers hold s.mu.
 func (s *Store) retireOrRecycleOldLocked(oldAddr int) {
-	if err := s.invalidateLocked(oldAddr); err != nil {
-		if errors.Is(err, ErrWornOut) && !s.opts.DisableRetirement {
-			s.retireLocked(oldAddr)
-		}
-		return
+	if err := s.recycleLocked(oldAddr); errors.Is(err, ErrWornOut) && !s.opts.DisableRetirement {
+		s.retireLocked(oldAddr)
 	}
-	s.recycleLocked(oldAddr)
 }
 
 // retireLocked permanently removes a segment from circulation. Callers
@@ -698,18 +699,30 @@ func (s *Store) noSpaceErrLocked() error {
 	return ErrNoSpace
 }
 
-// invalidateLocked resets a record's valid flag (a one-bit differential
-// write). Callers hold s.mu.
-func (s *Store) invalidateLocked(addr int) error {
+// recycleLocked resets the valid flag of the record at addr (a one-bit
+// differential write, Algorithm 2 step 2) and returns the segment to the
+// pool under the cluster of the image it just wrote (steps 3–4): a write
+// that verified left the device holding exactly that image, so it is not
+// read back. A non-nil error means the flag write did not take and the
+// segment was not pooled; the caller applies its worn-segment policy.
+// Callers hold s.mu.
+func (s *Store) recycleLocked(addr int) error {
 	img := s.segScratchLocked()
 	if err := s.dev.PeekInto(addr, img); err != nil {
 		return err
 	}
-	if img[0]&1 == 0 {
-		return nil
+	if img[0]&1 != 0 {
+		img[0] &^= 1
+		if err := s.writeSegmentLocked(addr, img); err != nil {
+			return err
+		}
 	}
-	img[0] &^= 1
-	return s.writeSegmentLocked(addr, img)
+	c, err := s.mgr.Current().PredictBytes(img)
+	if err != nil {
+		return nil // segment unparsable under the live model; drop from pool
+	}
+	s.poolAdd(s.clampClusterLocked(c), addr)
+	return nil
 }
 
 // writeSegmentLocked persists one segment image, through a redo-log
@@ -742,20 +755,6 @@ func (s *Store) writeSegmentLocked(addr int, img []byte) error {
 		return err
 	}
 	return nil
-}
-
-// recycleLocked returns segment addr to the pool under the cluster of its
-// current content (Algorithm 2 steps 3–4). Callers hold s.mu.
-func (s *Store) recycleLocked(addr int) {
-	img := s.segScratchLocked()
-	if err := s.dev.PeekInto(addr, img); err != nil {
-		return
-	}
-	c, err := s.mgr.Current().PredictBytes(img)
-	if err != nil {
-		return // segment unparsable under the live model; drop from pool
-	}
-	s.poolAdd(s.clampClusterLocked(c), addr)
 }
 
 // poolAdd recycles addr into cluster c, carrying the segment's cumulative
@@ -867,19 +866,16 @@ func (s *Store) Delete(key uint64) (bool, error) {
 		return false, nil
 	}
 	addr := int(addrV)
-	if err := s.invalidateLocked(addr); err != nil {
-		if errors.Is(err, ErrWornOut) && !s.opts.DisableRetirement {
-			// The flag cell no longer clears: take the segment out of
-			// circulation and shred the stale record so a future Recover
-			// cannot resurrect the deleted key.
-			s.retireLocked(addr)
-			s.shredLocked(addr)
-			s.stats.Deletes++
-			return true, nil
+	if err := s.recycleLocked(addr); err != nil {
+		if !errors.Is(err, ErrWornOut) || s.opts.DisableRetirement {
+			return false, err
 		}
-		return false, err
+		// The flag cell no longer clears: take the segment out of
+		// circulation and shred the stale record so a future Recover
+		// cannot resurrect the deleted key.
+		s.retireLocked(addr)
+		s.shredLocked(addr)
 	}
-	s.recycleLocked(addr)
 	s.stats.Deletes++
 	return true, nil
 }
@@ -1338,13 +1334,7 @@ func RecoverWith(dev *nvm.Device, model *core.Model, opts Options) (*Store, erro
 	// Invalidate the stale copies (best-effort: worn segments may refuse
 	// and are then retired) and return them to circulation.
 	for _, addr := range stale {
-		if err := s.invalidateLocked(addr); err != nil {
-			if errors.Is(err, ErrWornOut) && !opts.DisableRetirement {
-				s.retireLocked(addr)
-			}
-			continue
-		}
-		s.recycleLocked(addr)
+		s.retireOrRecycleOldLocked(addr)
 	}
 	if haveSeq {
 		s.seq = maxSeq + 1

@@ -9,6 +9,7 @@ import (
 	"e2nvm/internal/dap"
 	"e2nvm/internal/index"
 	"e2nvm/internal/nvm"
+	"e2nvm/internal/padding"
 )
 
 func quickModelCfg() core.Config {
@@ -115,6 +116,35 @@ func TestPutIfAbsent(t *testing.T) {
 	}
 	if _, err := s.PutIfAbsent(6, make([]byte, 30)); err == nil {
 		t.Fatal("expected ErrValueTooLarge")
+	}
+}
+
+// TestPutIfAbsentRefreshesDensity: a store filled only through PutIfAbsent
+// (live migration's write path) must keep the MemoryBased-padding density
+// cache current like Put does — all-ones values over a half-dense device
+// have to move the sample once densityRefreshEvery writes have landed.
+func TestPutIfAbsentRefreshesDensity(t *testing.T) {
+	dev, err := nvm.NewDevice(nvm.DefaultConfig(32, 2*densityRefreshEvery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.Fill(rand.New(rand.NewSource(42)))
+	cfg := quickModelCfg()
+	cfg.PadLocation, cfg.PadType, cfg.PadExplicit = padding.End, padding.MemoryBased, true
+	s, err := Open(dev, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.cachedDensity()
+	ones := bytes.Repeat([]byte{0xff}, s.MaxValue())
+	for k := uint64(0); k < densityRefreshEvery; k++ {
+		if wrote, err := s.PutIfAbsent(k, ones); err != nil || !wrote {
+			t.Fatalf("PutIfAbsent(%d) = (%v,%v)", k, wrote, err)
+		}
+	}
+	if after := s.cachedDensity(); after <= before {
+		t.Fatalf("density cache still %v after %d PutIfAbsent calls of all-ones values (was %v)",
+			after, densityRefreshEvery, before)
 	}
 }
 

@@ -7,10 +7,11 @@ import (
 	"e2nvm/internal/nvm"
 )
 
-// BenchmarkPut / BenchmarkPutBatch8 mirror the kvbench Put scenarios at
-// the same geometry so the serving path can be profiled in-package
-// (go test -bench Put -cpuprofile ...). BENCH_PR5.json numbers come from
-// cmd/e2nvm-bench, not from these.
+// BenchmarkPut / BenchmarkPutBatch8 drive steady-state overwrites — one
+// at a time and eight per PutBatch — over a small store (64 B × 1024
+// segments, 512 keys) so the serving path can be profiled in-package
+// (go test -bench Put -cpuprofile ...) and the per-item ratio between the
+// two read off one run. Quoted latencies come from bench/, not from these.
 func BenchmarkPut(b *testing.B) {
 	s := benchStore(b)
 	val := make([]byte, 32)

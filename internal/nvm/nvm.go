@@ -300,25 +300,9 @@ func emulate(t0 time.Time, ns float64) {
 // Read returns a copy of the segment's current content and charges read
 // energy/latency.
 func (d *Device) Read(addr int) ([]byte, error) {
-	var t0 time.Time
-	if d.cfg.EmulateLatency {
-		t0 = time.Now()
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if addr < 0 || addr >= d.cfg.NumSegments {
-		return nil, fmt.Errorf("%w: %d", ErrBadAddress, addr)
-	}
-	src := d.segBytes(d.physIndex(addr))
-	out := make([]byte, len(src))
-	copy(out, src)
-	lines := float64(d.linesPerSegment())
-	d.stats.Reads++
-	d.stats.BitsRead += uint64(len(src) * 8)
-	d.stats.EnergyPJ += float64(len(src)*8)*d.cfg.ReadEnergyPerBitPJ + d.cfg.AccessOverheadPJ
-	d.stats.ReadLatencyNs += d.cfg.ReadLatencyNs + lines*d.cfg.ReadLineLatencyNs
-	if d.cfg.EmulateLatency {
-		emulate(t0, d.cfg.ReadLatencyNs+lines*d.cfg.ReadLineLatencyNs)
+	out := make([]byte, d.cfg.SegmentSize)
+	if err := d.ReadInto(addr, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -327,14 +311,10 @@ func (d *Device) Read(addr int) ([]byte, error) {
 // software layer's cached view of memory (the dynamic address pool already
 // knows what free segments contain) and is also used by tests.
 func (d *Device) Peek(addr int) ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if addr < 0 || addr >= d.cfg.NumSegments {
-		return nil, fmt.Errorf("%w: %d", ErrBadAddress, addr)
+	out := make([]byte, d.cfg.SegmentSize)
+	if err := d.PeekInto(addr, out); err != nil {
+		return nil, err
 	}
-	src := d.segBytes(d.physIndex(addr))
-	out := make([]byte, len(src))
-	copy(out, src)
 	return out, nil
 }
 

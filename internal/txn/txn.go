@@ -87,11 +87,6 @@ var ErrAborted = errors.New("txn: transaction aborted")
 // ErrLogFull is returned by Commit when every log slot is occupied.
 var ErrLogFull = errors.New("txn: no free log slot")
 
-// ErrCorruptLog identifies a log slot whose header failed validation.
-// Recovery discards such slots rather than erroring, so this sentinel is
-// retained only for callers that classify historical errors.
-var ErrCorruptLog = errors.New("txn: corrupt log slot")
-
 // ErrBadConfig is returned by NewManager for an unusable log geometry.
 var ErrBadConfig = errors.New("txn: invalid log config")
 

@@ -3,7 +3,6 @@ package e2nvm
 import (
 	"e2nvm/internal/dap"
 	"e2nvm/internal/hotcache"
-	"e2nvm/internal/shard"
 )
 
 // This file is the facade's integration of the hot-key cache
@@ -49,15 +48,6 @@ func (c cachedKV) Put(key uint64, value []byte) error {
 	return err
 }
 
-func (c cachedKV) PutBatch(keys []uint64, values [][]byte, errs []error) error {
-	err := c.next.PutBatch(keys, values, errs)
-	// Invalidate every written key before the batch is acknowledged.
-	for _, k := range keys {
-		c.cache.Invalidate(k)
-	}
-	return err
-}
-
 func (c cachedKV) Delete(key uint64) (bool, error) {
 	ok, err := c.next.Delete(key)
 	c.cache.Invalidate(key)
@@ -79,51 +69,4 @@ func (c cachedKV) GetInto(key uint64, dst []byte) ([]byte, bool, error) {
 	}
 	c.cache.CompleteFill(key, v, token)
 	return v, true, nil
-}
-
-// GetBatch serves what it can from the cache and reads only the missing
-// keys from the store in one underlying batch, filling them back under
-// per-key tokens.
-func (c cachedKV) GetBatch(keys []uint64, dsts [][]byte, oks []bool, errs []error) error {
-	if len(dsts) != len(keys) || len(oks) != len(keys) || (errs != nil && len(errs) != len(keys)) {
-		return shard.ErrBadBatch
-	}
-	var missIdx []int
-	for i, k := range keys {
-		if v, ok := c.cache.GetInto(k, dsts[i]); ok {
-			dsts[i], oks[i] = v, true
-			if errs != nil {
-				errs[i] = nil
-			}
-			continue
-		}
-		missIdx = append(missIdx, i)
-	}
-	if len(missIdx) == 0 {
-		return nil
-	}
-	mKeys := make([]uint64, len(missIdx))
-	mDsts := make([][]byte, len(missIdx))
-	mOks := make([]bool, len(missIdx))
-	var mErrs []error
-	if errs != nil {
-		mErrs = make([]error, len(missIdx))
-	}
-	tokens := make([]uint64, len(missIdx))
-	for j, i := range missIdx {
-		mKeys[j] = keys[i]
-		mDsts[j] = dsts[i]
-		tokens[j] = c.cache.BeginFill(keys[i])
-	}
-	err := c.next.GetBatch(mKeys, mDsts, mOks, mErrs)
-	for j, i := range missIdx {
-		dsts[i], oks[i] = mDsts[j], mOks[j]
-		if errs != nil {
-			errs[i] = mErrs[j]
-		}
-		if mOks[j] && (mErrs == nil || mErrs[j] == nil) {
-			c.cache.CompleteFill(mKeys[j], mDsts[j], tokens[j])
-		}
-	}
-	return err
 }

@@ -368,7 +368,7 @@ func (c Config) storeOptions(placement kvstore.Placement, keyTemp func(uint64) d
 // live keyspace migration (see Replication). All methods are safe for
 // concurrent use.
 type Store struct {
-	kv      kv               // point and batch serving: router, or the hot cache around it
+	kv      kv               // point serving: router, or the hot cache around it
 	router  *shard.Router    // the one serving stack, over plain stores or replica groups
 	cluster *replica.Cluster // non-nil iff ReplicationFactor > 1; owns the groups under router
 	cache   *hotcache.Cache  // non-nil iff Config.CacheEnabled
@@ -377,14 +377,12 @@ type Store struct {
 	starts  []int            // global segment ranges: shard i owns [starts[i], starts[i+1])
 }
 
-// kv is the surface the facade's point and batch operations are served
-// through; shard.Router satisfies it, and so does the cache wrapped around
-// one (cachedKV).
+// kv is the surface the facade's point operations (and the batches built
+// on them) are served through; shard.Router satisfies it, and so does the
+// cache wrapped around one (cachedKV).
 type kv interface {
 	Put(key uint64, value []byte) error
-	PutBatch(keys []uint64, values [][]byte, errs []error) error
 	GetInto(key uint64, dst []byte) ([]byte, bool, error)
-	GetBatch(keys []uint64, dsts [][]byte, oks []bool, errs []error) error
 	Delete(key uint64) (bool, error)
 }
 
@@ -495,27 +493,52 @@ func openShards(cfg Config, open func(i int, dev *nvm.Device, keyTemp func(uint6
 // the overwritten value.
 func (s *Store) Put(key uint64, value []byte) error { return s.kv.Put(key, value) }
 
-// PutBatch stores len(keys) key/value pairs in one call: keys group per
-// shard (SplitMix64, no extra allocations), each shard is entered once for
-// its whole sub-batch, and on an unreplicated shard model inference runs
-// on the kernel's blocked multi-sample path (DESIGN.md §11). values must
-// be index-aligned with keys. Pairs apply in index order — a later
-// duplicate key wins, exactly as sequential Puts would — and one pair's
-// failure does not abort the rest; the returned error is the first failure
-// by index. Pass errs (same length) to receive per-item outcomes, or nil
-// to skip them.
+// PutBatch stores len(keys) key/value pairs in one call, each exactly as
+// Put would, in index order: a later duplicate key wins, and one pair's
+// failure does not abort the rest. values must be index-aligned with keys;
+// misaligned slices return ErrBadBatch before any pair is applied. Pass
+// errs (same length) to receive per-item outcomes, or nil to skip them;
+// the returned error is the first failure by index.
 func (s *Store) PutBatch(keys []uint64, values [][]byte, errs []error) error {
-	return s.kv.PutBatch(keys, values, errs)
+	if len(values) != len(keys) || (errs != nil && len(errs) != len(keys)) {
+		return ErrBadBatch
+	}
+	var first error
+	for i, k := range keys {
+		err := s.kv.Put(k, values[i])
+		if errs != nil {
+			errs[i] = err
+		}
+		if err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
-// GetBatch reads len(keys) values in one call, grouping keys per shard so
-// each shard is entered once. Value i lands in dsts[i]'s backing array
-// (grown only when too small, like GetInto) with its liveness in oks[i] —
-// a missing key is oks[i] = false, not an error. dsts and oks must be
-// index-aligned with keys; errs, when non-nil, receives per-item read
-// errors, and the returned error is the first failure by index.
+// GetBatch reads len(keys) values in one call, each exactly as GetInto
+// would, in index order. Value i lands in dsts[i]'s backing array (grown
+// only when too small) with its liveness in oks[i] — a missing key is
+// oks[i] = false, not an error. dsts and oks must be index-aligned with
+// keys (else ErrBadBatch, before any read); errs, when non-nil, receives
+// per-item read errors, and the returned error is the first failure by
+// index.
 func (s *Store) GetBatch(keys []uint64, dsts [][]byte, oks []bool, errs []error) error {
-	return s.kv.GetBatch(keys, dsts, oks, errs)
+	if len(dsts) != len(keys) || len(oks) != len(keys) || (errs != nil && len(errs) != len(keys)) {
+		return ErrBadBatch
+	}
+	var first error
+	for i, k := range keys {
+		v, ok, err := s.kv.GetInto(k, dsts[i])
+		dsts[i], oks[i] = v, ok
+		if errs != nil {
+			errs[i] = err
+		}
+		if err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // Get returns the value stored under key as a fresh caller-owned copy.

@@ -105,10 +105,10 @@ func ExampleStore_NewBatcher() {
 	// device writes under 30: true
 }
 
-// ExampleStore_PutBatch shows the amortized batch write/read path: keys
-// group per shard so each shard's lock is taken once per call, and
-// inference runs on the kernel's blocked multi-sample path. The optional
-// errs/oks slices carry per-item outcomes without extra allocation.
+// ExampleStore_PutBatch shows the batch write/read calls: each applies its
+// items in index order exactly as a loop of Put/GetInto would, and the
+// optional errs/oks slices carry per-item outcomes without extra
+// allocation.
 func ExampleStore_PutBatch() {
 	store, err := e2nvm.Open(e2nvm.Config{
 		SegmentSize: 64, NumSegments: 128, Clusters: 4, TrainEpochs: 4, Seed: 1,

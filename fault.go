@@ -13,6 +13,11 @@ import (
 // errors.Is.
 var ErrConfig = errors.New("e2nvm: invalid configuration")
 
+// ErrBadBatch is returned by PutBatch and GetBatch when the slices passed
+// are not index-aligned with keys; no item is applied. Test with
+// errors.Is.
+var ErrBadBatch = errors.New("e2nvm: batch slice lengths differ")
+
 // Error sentinels surfaced by Store operations, re-exported so callers can
 // use errors.Is without importing internal packages.
 var (

@@ -1,11 +1,11 @@
 // Package nobce defines an Analyzer enforcing that functions annotated
 // `lint:nobce` compile with no bounds or slice checks inside their loops.
 //
-// The serving kernels (infer.Forward/ForwardBlock, bitvec.HammingBytes,
-// the kvstore record codec) spend their cycles in tight inner loops over
-// slices; a bounds check the prove pass fails to eliminate there costs a
-// branch per element, and regressions slip in silently — an innocuous
-// refactor reorders a reslice and the check is back. This analyzer reads
+// The serving kernels (infer.Forward, bitvec.HammingBytes, the kvstore
+// record codec) spend their cycles in tight inner loops over slices; a
+// bounds check the prove pass fails to eliminate there costs a branch per
+// element, and regressions slip in silently — an innocuous refactor
+// reorders a reslice and the check is back. This analyzer reads
 // the compiler's own `-d=ssa/check_bce` output (via gcdiag) and flags
 // every surviving check inside a for/range statement of an annotated
 // function.

@@ -145,11 +145,6 @@ type Model struct {
 type predictScratch struct {
 	bits, padded, h, mu []float64
 	packed              []byte
-
-	// blocked-path staging: up to infer.BlockSamples padded images live in
-	// packBlk at segment-size stride, referenced through segBlk.
-	segBlk  [][]byte
-	packBlk []byte
 }
 
 // ErrBadSegment reports an item whose geometry does not match the model or
@@ -478,98 +473,40 @@ func (m *Model) MustPredictBytes(b []byte) int {
 
 // PredictBytesBlock predicts every image in imgs sequentially into out
 // (len(out) must be ≥ len(imgs)), reusing one pooled scratch set across
-// the block — the amortized multi-sample path batched writes ride on. A
-// failed item reports -1 in its slot and processing continues; the
-// returned error wraps the first failure with its index.
+// the block. A failed item reports -1 in its slot and processing
+// continues; the returned error wraps the first failure with its index.
 //
 // lint:hotpath
 func (m *Model) PredictBytesBlock(imgs [][]byte, out []int) error {
-	idx, err := m.predictBlock(imgs, out, 0)
+	idx, err := m.predictEach(imgs, out, 0)
 	if err != nil {
 		return fmt.Errorf("core: batch item %d: %w", idx, err)
 	}
 	return nil
 }
 
-// predictBlock is the shared worker body of PredictBytesBlock and
-// PredictBytesBatch: it predicts imgs into out with one pooled scratch
-// set, marking failed items -1 and returning the absolute index (base+i)
-// of the first failure, or -1. With a kernel available it stages each
-// run of up to infer.BlockSamples images (padding undersized ones under
-// one padder lock) and pushes them through the kernel's interleaved
-// multi-sample forward, whose table lookups overlap in the memory system;
-// results are bit-identical to the per-item path.
+// predictEach is the shared worker body of PredictBytesBlock and
+// PredictBytesBatch: it runs predictBytesScratched over imgs in order with
+// one pooled scratch set, marking failed items -1 and returning the
+// absolute index (base+i) of the first failure, or -1.
 //
 // lint:hotpath
-func (m *Model) predictBlock(imgs [][]byte, out []int, base int) (int, error) {
+func (m *Model) predictEach(imgs [][]byte, out []int, base int) (int, error) {
 	s, _ := m.scratch.Get().(*predictScratch)
 	if s == nil {
 		s = new(predictScratch) // lint:allow hotpathalloc — one scratch set per P, amortized by the pool
 	}
-	kern := m.kern
 	firstIdx, firstErr := -1, error(nil)
-	if kern == nil {
-		for i, b := range imgs {
-			c, err := m.predictBytesScratched(s, b)
-			if err != nil {
-				out[i] = -1
-				if firstErr == nil {
-					firstIdx, firstErr = base+i, err
-				}
-				continue
+	for i, b := range imgs {
+		c, err := m.predictBytesScratched(s, b)
+		if err != nil {
+			out[i] = -1
+			if firstErr == nil {
+				firstIdx, firstErr = base+i, err
 			}
-			out[i] = c
-		}
-		m.scratch.Put(s)
-		return firstIdx, firstErr
-	}
-
-	segBytes := m.cfg.InputBits / 8
-	if cap(s.packBlk) < infer.BlockSamples*segBytes {
-		s.packBlk = make([]byte, infer.BlockSamples*segBytes) // lint:allow hotpathalloc — staging sized once to a block of segments
-		s.segBlk = make([][]byte, infer.BlockSamples)         // lint:allow hotpathalloc — sized once with the staging buffer
-	}
-	s.h = growFloats(s.h, infer.BlockSamples*kern.HiddenDim())
-	s.mu = growFloats(s.mu, infer.BlockSamples*kern.LatentDim())
-	latent := kern.LatentDim()
-	for lo := 0; lo < len(imgs); lo += infer.BlockSamples {
-		hi := lo + infer.BlockSamples
-		if hi > len(imgs) {
-			hi = len(imgs)
-		}
-		// Stage the run: full-width images go in by reference, undersized
-		// ones pad into their own stride of packBlk — all under one padder
-		// lock. idxs maps staged slots back to caller indices.
-		var idxs [infer.BlockSamples]int
-		segs := s.segBlk[:infer.BlockSamples]
-		n := 0
-		m.mu.Lock()
-		for i := lo; i < hi; i++ {
-			b := imgs[i]
-			if len(b)*8 != m.cfg.InputBits {
-				stride := s.packBlk[n*segBytes : (n+1)*segBytes : (n+1)*segBytes]
-				packed, err := m.padPackedLocked(s, stride, b)
-				if err != nil {
-					out[i] = -1
-					if firstErr == nil {
-						firstIdx, firstErr = base+i, err
-					}
-					continue
-				}
-				b = packed
-			}
-			segs[n] = b
-			idxs[n] = i
-			n++
-		}
-		m.mu.Unlock()
-		if n == 0 {
 			continue
 		}
-		kern.ForwardBlock(segs[:n], s.h, s.mu)
-		for j := 0; j < n; j++ {
-			out[idxs[j]] = kern.Assign(s.mu[j*latent:][:latent])
-		}
+		out[i] = c
 	}
 	m.scratch.Put(s)
 	return firstIdx, firstErr
@@ -588,7 +525,7 @@ func (m *Model) PredictBytesBatch(imgs [][]byte) ([]int, error) {
 		workers = len(imgs)
 	}
 	if workers <= 1 {
-		if idx, err := m.predictBlock(imgs, out, 0); err != nil {
+		if idx, err := m.predictEach(imgs, out, 0); err != nil {
 			return out, fmt.Errorf("core: batch item %d: %w", idx, err)
 		}
 		return out, nil
@@ -609,7 +546,7 @@ func (m *Model) PredictBytesBatch(imgs [][]byte) ([]int, error) {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			idxs[w], errs[w] = m.predictBlock(imgs[lo:hi], out[lo:hi], lo)
+			idxs[w], errs[w] = m.predictEach(imgs[lo:hi], out[lo:hi], lo)
 		}(w, lo, hi)
 	}
 	wg.Wait()

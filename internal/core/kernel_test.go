@@ -79,7 +79,7 @@ func TestKernelSurvivesSnapshot(t *testing.T) {
 	}
 }
 
-// TestKernelModelSwapRace: serve PredictBytes (single and blocked) from
+// TestKernelModelSwapRace: serve PredictBytes (single and per block) from
 // many goroutines while the manager retrains and swaps models. Run under
 // -race this verifies a Put can never mix tables and centroids from
 // different trainings: each Model owns an immutable kernel built before

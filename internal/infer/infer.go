@@ -287,124 +287,3 @@ func (k *Kernel) Assign(mu []float64) int {
 func (k *Kernel) Predict(seg []byte, h, mu []float64) int {
 	return k.Assign(k.Forward(seg, h, mu))
 }
-
-// BlockSamples is the number of segments ForwardBlock interleaves per
-// inner block, and the scratch multiplier PredictBlock requires: h must
-// hold BlockSamples·HiddenDim floats and mu BlockSamples·LatentDim.
-const BlockSamples = 8
-
-// ForwardBlock runs the encoder over up to BlockSamples full-width
-// segments at once, writing sample s's hidden activations into
-// h[s·HiddenDim:] and its latent mean into mu[s·LatentDim:]. Per sample
-// the arithmetic order is identical to Forward, so results are
-// bit-identical to len(segs) single calls — the win is purely in the
-// memory system: each table group's lookups for all samples issue
-// back-to-back, so their cache misses overlap (memory-level parallelism
-// a single accumulator chain cannot express). Zero allocations.
-//
-// Bounds discipline (lint:nobce): the seed copies and the per-sample
-// finale consume h/mu front-to-back under loop conditions, so their slice
-// bounds are all compiler-provable. The interleaved lookup loops are the
-// exception: both the table row (data-dependent offset) and the per-sample
-// scratch window (strided by s inside the group loop) are beyond prove and
-// carry explicit allows — they are also the memory-bound part, where a
-// bounds check is noise next to the cache misses being overlapped.
-//
-// lint:hotpath
-// lint:kernelpure
-// lint:nobce
-func (k *Kernel) ForwardBlock(segs [][]byte, h, mu []float64) {
-	n := len(segs)
-	if n > BlockSamples {
-		panic(fmt.Sprintf("infer: ForwardBlock of %d segments, max %d", n, BlockSamples))
-	}
-	for _, seg := range segs {
-		if len(seg)*8 != k.inBits {
-			panic(fmt.Sprintf("infer: ForwardBlock input %d bits, want %d", len(seg)*8, k.inBits))
-		}
-	}
-	hidden, latent := k.hidden, k.latent
-	h = h[:n*hidden]
-	mu = mu[:n*latent]
-	if k.groupBits == 8 {
-		hh := h
-		for s := 0; s < n && len(hh) >= hidden; s++ {
-			copy(hh[:hidden], k.table[int(segs[s][0])*hidden:][:hidden]) // lint:allow nobce — table row offset is data-dependent
-			hh = hh[hidden:]
-		}
-		for p := 1; p < k.inBits/8; p++ {
-			for s, seg := range segs {
-				row := k.table[(p<<8|int(seg[p]))*hidden:][:hidden] // lint:allow nobce — data-dependent row, prologue-checked seg[p]
-				hs := h[s*hidden:][:hidden]                         // lint:allow nobce — sample-strided scratch window inside the group loop
-				for i, v := range row {
-					hs[i] += v
-				}
-			}
-		}
-	} else {
-		g := uint(k.groupBits)
-		perByte := 8 / k.groupBits
-		mask := byte(1<<g - 1)
-		for i := range h {
-			h[i] = 0
-		}
-		for p := 0; p < k.inBits/8; p++ {
-			for q := 0; q < perByte; q++ {
-				grp := p*perByte + q
-				for s, seg := range segs {
-					val := int((seg[p] >> (uint(q) * g)) & mask)       // lint:allow nobce — prologue-checked seg[p]
-					row := k.table[(grp<<g|val)*hidden:][:hidden]      // lint:allow nobce — data-dependent row offset
-					hs := h[s*hidden:][:hidden]                        // lint:allow nobce — sample-strided scratch window inside the group loop
-					for i, v := range row {
-						hs[i] += v
-					}
-				}
-			}
-		}
-	}
-	act1, act2 := k.act1, k.act2
-	b1, b2 := k.b1[:hidden], k.b2[:latent]
-	hrest, mrest := h, mu
-	for s := 0; s < n && len(hrest) >= hidden && len(mrest) >= latent; s++ {
-		hs := hrest[:hidden]
-		hrest = hrest[hidden:]
-		for i := range hs {
-			hs[i] = act1.Apply(hs[i] + b1[i])
-		}
-		ms := mrest[:latent]
-		mrest = mrest[latent:]
-		w2 := k.w2
-		for i := 0; i < latent && len(w2) >= hidden; i++ {
-			row := w2[:hidden]
-			w2 = w2[hidden:]
-			sum := 0.0
-			for j, v := range row {
-				sum += v * hs[j]
-			}
-			ms[i] = act2.Apply(sum + b2[i])
-		}
-	}
-}
-
-// PredictBlock predicts every image in segs into out (len(out) must be ≥
-// len(segs)), chunking through ForwardBlock so the table lookups of up to
-// BlockSamples images overlap in the memory system. h and mu are
-// caller-provided scratch of capacity ≥ BlockSamples·HiddenDim and
-// BlockSamples·LatentDim. All images must be full-width. Results are
-// bit-identical to per-image Predict calls. Zero allocations.
-//
-// lint:hotpath
-// lint:kernelpure
-func (k *Kernel) PredictBlock(segs [][]byte, out []int, h, mu []float64) {
-	latent := k.latent
-	for lo := 0; lo < len(segs); lo += BlockSamples {
-		hi := lo + BlockSamples
-		if hi > len(segs) {
-			hi = len(segs)
-		}
-		k.ForwardBlock(segs[lo:hi], h, mu)
-		for s := 0; s < hi-lo; s++ {
-			out[lo+s] = k.Assign(mu[s*latent:][:latent])
-		}
-	}
-}

@@ -130,76 +130,6 @@ func TestKernelDeterminism(t *testing.T) {
 	}
 }
 
-// TestPredictBlockMatchesPredict: the blocked multi-sample path must be
-// the exact per-item path.
-func TestPredictBlockMatchesPredict(t *testing.T) {
-	encH, encMu, cents := testEncoder(t, 5, 256, 64, 8, 4)
-	k, err := New(encH, encMu, cents)
-	if err != nil || k == nil {
-		t.Fatalf("New: %v %v", k, err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	segs := make([][]byte, 33)
-	for i := range segs {
-		segs[i] = make([]byte, 32)
-		rng.Read(segs[i])
-	}
-	h := make([]float64, BlockSamples*k.HiddenDim())
-	mu := make([]float64, BlockSamples*k.LatentDim())
-	out := make([]int, len(segs))
-	k.PredictBlock(segs, out, h, mu)
-	for i, seg := range segs {
-		if want := k.Predict(seg, h, mu); out[i] != want {
-			t.Fatalf("item %d: block %d, single %d", i, out[i], want)
-		}
-	}
-}
-
-// TestForwardBlockBitIdentical: the interleaved multi-sample forward must
-// produce bit-identical latents to per-sample Forward at every group
-// width and partial block size — it reorders memory traffic, never
-// arithmetic.
-func TestForwardBlockBitIdentical(t *testing.T) {
-	cases := []struct {
-		name                      string
-		inBits, hidden, latent, k int
-	}{
-		{"g8", 256, 64, 8, 4},
-		{"g4", 2048, 512, 10, 8},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			encH, encMu, cents := testEncoder(t, 17, tc.inBits, tc.hidden, tc.latent, tc.k)
-			k, err := New(encH, encMu, cents)
-			if err != nil || k == nil {
-				t.Fatalf("New: %v %v", k, err)
-			}
-			rng := rand.New(rand.NewSource(23))
-			segs := make([][]byte, BlockSamples)
-			for i := range segs {
-				segs[i] = make([]byte, tc.inBits/8)
-				rng.Read(segs[i])
-			}
-			hBlk := make([]float64, BlockSamples*k.HiddenDim())
-			muBlk := make([]float64, BlockSamples*k.LatentDim())
-			h := make([]float64, k.HiddenDim())
-			mu := make([]float64, k.LatentDim())
-			for n := 1; n <= BlockSamples; n++ {
-				k.ForwardBlock(segs[:n], hBlk, muBlk)
-				for s := 0; s < n; s++ {
-					k.Forward(segs[s], h, mu)
-					for i := range mu {
-						got := muBlk[s*k.LatentDim()+i]
-						if math.Float64bits(got) != math.Float64bits(mu[i]) {
-							t.Fatalf("n=%d sample %d lane %d: block %v, single %v", n, s, i, got, mu[i])
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestAssignEarlyExit: early-exit nearest centroid must equal the full
 // scan, including first-wins tie handling.
 func TestAssignEarlyExit(t *testing.T) {
@@ -313,16 +243,6 @@ func TestForwardZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { k.Predict(seg, h, mu) }); n != 0 {
 		t.Fatalf("Predict allocates %v per op, want 0", n)
 	}
-	segs := make([][]byte, BlockSamples)
-	for i := range segs {
-		segs[i] = seg
-	}
-	hBlk := make([]float64, BlockSamples*k.HiddenDim())
-	muBlk := make([]float64, BlockSamples*k.LatentDim())
-	out := make([]int, len(segs))
-	if n := testing.AllocsPerRun(100, func() { k.PredictBlock(segs, out, hBlk, muBlk) }); n != 0 {
-		t.Fatalf("PredictBlock allocates %v per op, want 0", n)
-	}
 }
 
 // BenchmarkForward measures the bit-native kernel on one 64-byte segment
@@ -342,30 +262,6 @@ func BenchmarkForward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.Predict(seg, h, mu)
-	}
-}
-
-// BenchmarkForwardBlock8 measures the interleaved 8-sample path; ns/op is
-// per sample, directly comparable to BenchmarkForward.
-func BenchmarkForwardBlock8(b *testing.B) {
-	encH, encMu, cents := benchEncoder()
-	k, err := New(encH, encMu, cents)
-	if err != nil || k == nil {
-		b.Fatalf("New: %v %v", k, err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	segs := make([][]byte, BlockSamples)
-	for i := range segs {
-		segs[i] = make([]byte, 64)
-		rng.Read(segs[i])
-	}
-	h := make([]float64, BlockSamples*k.HiddenDim())
-	mu := make([]float64, BlockSamples*k.LatentDim())
-	out := make([]int, len(segs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(segs) {
-		k.PredictBlock(segs, out, h, mu)
 	}
 }
 

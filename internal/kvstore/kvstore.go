@@ -219,14 +219,6 @@ type Store struct {
 
 	scrubCursor int    // next segment Scrub will examine
 	scrubBuf    []byte // Scrub's own staging (putLocked reuses segBuf)
-
-	// Batched-path scratch (batch.go), reused under mu: one block of
-	// staged records (stride SegmentSize), the image and original-index
-	// views over it, and the blocked-prediction output.
-	batchBuf      []byte
-	batchImgs     [][]byte
-	batchIdx      []int
-	batchClusters []int
 }
 
 // densityRefreshEvery is the Put interval at which the MemoryBased-padding
@@ -527,9 +519,8 @@ func (s *Store) Put(key uint64, value []byte) error {
 	return nil
 }
 
-// afterPutsLocked is the housekeeping every write entry point (Put,
-// PutIfAbsent, PutBatch) runs once per call after placing n records: count
-// them, advance the MemoryBased-padding density refresh, and launch a
+// afterPutsLocked is the housekeeping both write entry points (Put,
+// PutIfAbsent) run once per call after placing n records: count them, advance the MemoryBased-padding density refresh, and launch a
 // background retrain when a cluster has run low. Callers hold s.mu.
 func (s *Store) afterPutsLocked(n int) {
 	s.stats.Puts += uint64(n)
@@ -589,8 +580,7 @@ func (s *Store) putLocked(key uint64, value []byte) error {
 // placeLocked writes record into a free segment of cluster (the pool
 // falls back across clusters when it is empty), retiring and retrying
 // around worn-out segments, then indexes the new copy and recycles the
-// superseded one. Shared by the single-op and batched put paths; callers
-// hold s.mu.
+// superseded one. Callers hold s.mu.
 //
 // lint:hotpath
 func (s *Store) placeLocked(key uint64, record []byte, cluster, oldAddr int) error {

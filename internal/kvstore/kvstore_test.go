@@ -10,6 +10,7 @@ import (
 	"e2nvm/internal/index"
 	"e2nvm/internal/nvm"
 	"e2nvm/internal/padding"
+	"e2nvm/internal/testutil"
 )
 
 func quickModelCfg() core.Config {
@@ -729,5 +730,74 @@ func TestNilKeyTempUnchanged(t *testing.T) {
 		if w != 0 {
 			t.Fatalf("pool wear tracked without KeyTemp: %v", s.Pool().ClusterWear())
 		}
+	}
+}
+
+// TestSingleOpZeroAlloc: the single-op serving paths allocate nothing once
+// their scratch is warm — plain, through the redo log, and on a device
+// whose worn segments the retire-and-retry path has already routed around.
+func TestSingleOpZeroAlloc(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts, so the pooled predict scratch allocates by design")
+	}
+	const key = 3
+	val := []byte("steady-val")
+	put := func(t *testing.T, s *Store) {
+		if err := s.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := make([]byte, 0, len(val))
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		stuck bool // stick the valid-flag cell of every 4th segment before warm-up
+		op    func(t *testing.T, s *Store)
+	}{
+		{name: "Put/overwrite", op: put},
+		{name: "GetInto", op: func(t *testing.T, s *Store) {
+			if _, ok, err := s.GetInto(key, dst); err != nil || !ok {
+				t.Fatalf("GetInto = (%v,%v)", ok, err)
+			}
+		}},
+		{name: "Delete+Put", op: func(t *testing.T, s *Store) {
+			if ok, err := s.Delete(key); err != nil || !ok {
+				t.Fatalf("Delete = (%v,%v)", ok, err)
+			}
+			put(t, s)
+		}},
+		{name: "Put/crashsafe", opts: Options{CrashSafe: true}, op: put},
+		{name: "Put/faulted", stuck: true, op: put},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const segs = 128
+			s := openStore(t, 32, segs, tc.opts)
+			if tc.stuck {
+				for addr := 0; addr < segs; addr += 4 {
+					if err := s.Device().InjectStuckAt(addr, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// Warm-up cycles the whole pool several times: scratch buffers
+			// reach their final size and, in the stuck case, every segment
+			// whose flag cell cannot be set or cleared has been retired.
+			for i := 0; i < 4*segs; i++ {
+				put(t, s)
+			}
+			if tc.stuck {
+				// The record may be sitting on the last stuck segment, whose
+				// flag cell then refuses to clear on the next overwrite.
+				for i := 0; s.Stats().Retired < segs/4; i++ {
+					if i == segs {
+						t.Fatalf("warm-up retired %d of %d stuck segments", s.Stats().Retired, segs/4)
+					}
+					put(t, s)
+				}
+			}
+			if n := testing.AllocsPerRun(100, func() { tc.op(t, s) }); n != 0 {
+				t.Fatalf("%s allocates %v per op, want 0", tc.name, n)
+			}
+		})
 	}
 }

@@ -353,44 +353,28 @@ func (g *Group) Delete(key uint64) (bool, error) {
 	}
 }
 
-// PutBatch applies the pairs in index order, each with Put's contract.
-// Replicated writes synchronize per item on the replica set, so there is
-// no per-group lock worth amortizing; the router has already validated
-// that the slices line up. Per-item outcomes land in errs when non-nil,
-// and the first failure by index is returned.
-//
-// lint:hotpath
-func (g *Group) PutBatch(keys []uint64, values [][]byte, errs []error) error {
-	var first error
-	for i, k := range keys {
-		err := g.Put(k, values[i])
-		if errs != nil {
-			errs[i] = err
+// Scrub runs one scrub pass of up to n segments on the leader, with Put's
+// failover-and-retry contract: a pass that dies with the leader's device
+// (relocation writes and the redo log wear out too) is retried on the
+// promoted leader. A group with no active leader has no healthy medium
+// left to scrub, so it reports an empty pass.
+func (g *Group) Scrub(n int) (kvstore.ScrubReport, error) {
+	for {
+		g.mu.RLock()
+		if g.state.Load() != stateActive {
+			g.mu.RUnlock()
+			return kvstore.ScrubReport{}, nil
 		}
-		if err != nil && first == nil {
-			first = err
+		st := g.nodes[g.leader].store
+		rep, err := st.Scrub(n)
+		g.mu.RUnlock()
+		if err == nil || !deviceDead(err) {
+			return rep, err
 		}
-	}
-	return first
-}
-
-// GetBatch reads the keys in index order, each with GetInto's contract:
-// value i lands in dsts[i] (grown as needed) with its liveness in oks[i].
-//
-// lint:hotpath
-func (g *Group) GetBatch(keys []uint64, dsts [][]byte, oks []bool, errs []error) error {
-	var first error
-	for i, k := range keys {
-		v, ok, err := g.GetInto(k, dsts[i])
-		dsts[i], oks[i] = v, ok
-		if errs != nil {
-			errs[i] = err
-		}
-		if err != nil && first == nil {
-			first = err
+		if ferr := g.failoverFrom(st); ferr != nil {
+			return rep, ferr
 		}
 	}
-	return first
 }
 
 // NextInto returns the smallest live key in [lo, hi] that this group

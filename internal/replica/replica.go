@@ -75,8 +75,8 @@ type Config struct {
 
 // Cluster owns a set of replicated keyspace groups: construction, Close,
 // health sweeps, status and device accessors. Serving — Put, Get, GetInto,
-// Delete, the batches, Scan, Len, Scrub, Retrain, NeedsRetrain — is the
-// embedded router's, over the groups as shards. Methods are safe for
+// Delete, Scan, Len, Scrub, Retrain, NeedsRetrain — is the embedded
+// router's, over the groups as shards. Methods are safe for
 // concurrent use; Close is not (callers stop traffic first, as with
 // closing any store).
 type Cluster struct {

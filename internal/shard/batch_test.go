@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"bytes"
@@ -6,17 +6,40 @@ import (
 	"fmt"
 	"testing"
 
-	"e2nvm/internal/kvstore"
+	"e2nvm"
 	"e2nvm/internal/testutil"
 )
 
-// TestPutBatchGetBatchRoundTrip: the fan-out must deliver every item to
-// its shard and scatter results back in caller order, across shard
-// counts (1 exercises the delegation fast path).
+// A batch enters the engine only through the facade, which loops over the
+// router's Put/GetInto. These tests hold the router to the batch contract
+// across shard counts.
+
+// openSharded opens an unreplicated facade store over n shards of
+// segsPerShard segments each.
+func openSharded(t *testing.T, n, segsPerShard int) *e2nvm.Store {
+	t.Helper()
+	s, err := e2nvm.Open(e2nvm.Config{
+		SegmentSize: 32,
+		NumSegments: n * segsPerShard,
+		Shards:      n,
+		Clusters:    3,
+		TrainEpochs: 4,
+		LatentDim:   4,
+		Seed:        1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
+// TestPutBatchGetBatchRoundTrip: a batch must deliver every item to its
+// shard and answer reads in caller order, across shard counts.
 func TestPutBatchGetBatchRoundTrip(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			r := newRouter(t, shards, 32, 64, kvstore.Options{})
+			s := openSharded(t, shards, 64)
 			n := 24
 			keys := make([]uint64, n)
 			vals := make([][]byte, n)
@@ -24,12 +47,12 @@ func TestPutBatchGetBatchRoundTrip(t *testing.T) {
 				keys[i] = uint64(i * 13)
 				vals[i] = []byte(fmt.Sprintf("v-%02d", i))
 			}
-			if err := r.PutBatch(keys, vals, nil); err != nil {
+			if err := s.PutBatch(keys, vals, nil); err != nil {
 				t.Fatalf("PutBatch: %v", err)
 			}
 			dsts := make([][]byte, n)
 			oks := make([]bool, n)
-			if err := r.GetBatch(keys, dsts, oks, nil); err != nil {
+			if err := s.GetBatch(keys, dsts, oks, nil); err != nil {
 				t.Fatalf("GetBatch: %v", err)
 			}
 			for i := range keys {
@@ -44,21 +67,25 @@ func TestPutBatchGetBatchRoundTrip(t *testing.T) {
 			mixed := []uint64{keys[3], 99999, keys[7]}
 			mdsts := make([][]byte, 3)
 			moks := make([]bool, 3)
-			if err := r.GetBatch(mixed, mdsts, moks, nil); err != nil {
+			if err := s.GetBatch(mixed, mdsts, moks, nil); err != nil {
 				t.Fatalf("GetBatch mixed: %v", err)
 			}
 			if !moks[0] || moks[1] || !moks[2] {
 				t.Fatalf("mixed oks = %v, want [true false true]", moks)
 			}
+			if !bytes.Equal(mdsts[0], vals[3]) || !bytes.Equal(mdsts[2], vals[7]) {
+				t.Fatalf("mixed values = %q, %q, want %q, %q", mdsts[0], mdsts[2], vals[3], vals[7])
+			}
 		})
 	}
 }
 
-// TestPutBatchMatchesPerItemPuts: batched routing must place every item
-// in the same shard the per-item path would.
+// TestPutBatchMatchesPerItemPuts: a batch must route every item to the
+// shard the per-item path would, leaving each shard's device in the same
+// state.
 func TestPutBatchMatchesPerItemPuts(t *testing.T) {
-	batched := newRouter(t, 3, 32, 64, kvstore.Options{})
-	perItem := newRouter(t, 3, 32, 64, kvstore.Options{})
+	batched := openSharded(t, 3, 64)
+	perItem := openSharded(t, 3, 64)
 	n := 30
 	keys := make([]uint64, n)
 	vals := make([][]byte, n)
@@ -74,19 +101,21 @@ func TestPutBatchMatchesPerItemPuts(t *testing.T) {
 			t.Fatalf("Put: %v", err)
 		}
 	}
-	for sh := 0; sh < batched.N(); sh++ {
-		if b, p := batched.Serving(sh).Len(), perItem.Serving(sh).Len(); b != p {
-			t.Fatalf("shard %d: batched holds %d keys, per-item %d", sh, b, p)
+	b, p := batched.ShardMetrics(), perItem.ShardMetrics()
+	for sh := range b {
+		if b[sh] != p[sh] {
+			t.Fatalf("shard %d differs:\nbatched  %+v\nper-item %+v", sh, b[sh], p[sh])
 		}
+	}
+	if batched.Len() != perItem.Len() {
+		t.Fatalf("Len: batched %d, per-item %d", batched.Len(), perItem.Len())
 	}
 }
 
 // TestPutBatchPerItemErrors: a failing item must surface under its caller
-// index after the scatter back, and the returned error must be the first
-// failure by caller order even though shards run out of order.
+// index, and the returned error must be the first failure by caller order.
 func TestPutBatchPerItemErrors(t *testing.T) {
-	r := newRouter(t, 4, 32, 64, kvstore.Options{})
-	maxValue := r.Serving(0).MaxValue()
+	s := openSharded(t, 4, 64)
 	n := 12
 	keys := make([]uint64, n)
 	vals := make([][]byte, n)
@@ -94,17 +123,20 @@ func TestPutBatchPerItemErrors(t *testing.T) {
 		keys[i] = uint64(i)
 		vals[i] = []byte("fine")
 	}
-	vals[5] = make([]byte, maxValue+1)
-	vals[9] = make([]byte, maxValue+1)
+	vals[5] = make([]byte, s.MaxValue()+1)
+	vals[9] = make([]byte, s.MaxValue()+2)
 	errs := make([]error, n)
-	err := r.PutBatch(keys, vals, errs)
-	if !errors.Is(err, kvstore.ErrValueTooLarge) {
+	err := s.PutBatch(keys, vals, errs)
+	if !errors.Is(err, e2nvm.ErrValueTooLarge) {
 		t.Fatalf("PutBatch error = %v, want ErrValueTooLarge", err)
+	}
+	if err != errs[5] {
+		t.Fatalf("PutBatch returned %v, want the first failure by index %v", err, errs[5])
 	}
 	for i := range errs {
 		switch i {
 		case 5, 9:
-			if !errors.Is(errs[i], kvstore.ErrValueTooLarge) {
+			if !errors.Is(errs[i], e2nvm.ErrValueTooLarge) {
 				t.Fatalf("errs[%d] = %v, want ErrValueTooLarge", i, errs[i])
 			}
 		default:
@@ -116,25 +148,27 @@ func TestPutBatchPerItemErrors(t *testing.T) {
 }
 
 // TestBatchLengthMismatch: misaligned batch slices are rejected before
-// any routing.
+// any item reaches a shard.
 func TestBatchLengthMismatch(t *testing.T) {
-	r := newRouter(t, 2, 32, 64, kvstore.Options{})
-	if err := r.PutBatch([]uint64{1, 2}, make([][]byte, 1), nil); !errors.Is(err, ErrBadBatch) {
+	s := openSharded(t, 2, 64)
+	if err := s.PutBatch([]uint64{1, 2}, make([][]byte, 1), nil); !errors.Is(err, e2nvm.ErrBadBatch) {
 		t.Fatalf("PutBatch mismatch = %v, want ErrBadBatch", err)
 	}
-	if err := r.GetBatch([]uint64{1}, make([][]byte, 1), make([]bool, 2), nil); !errors.Is(err, ErrBadBatch) {
+	if err := s.GetBatch([]uint64{1}, make([][]byte, 1), make([]bool, 2), nil); !errors.Is(err, e2nvm.ErrBadBatch) {
 		t.Fatalf("GetBatch mismatch = %v, want ErrBadBatch", err)
+	}
+	if m := s.Metrics(); m.Writes != 0 || m.Reads != 0 {
+		t.Fatalf("a refused batch reached a shard: Writes = %d, Reads = %d", m.Writes, m.Reads)
 	}
 }
 
-// TestRouterBatchZeroAlloc: the fan-out's grouping scratch is pooled, so
-// steady-state batches must not allocate beyond the per-shard paths
-// (which are themselves 0-alloc).
+// TestRouterBatchZeroAlloc: steady-state batches over several shards must
+// not allocate beyond the per-shard paths (which are themselves 0-alloc).
 func TestRouterBatchZeroAlloc(t *testing.T) {
 	if testutil.RaceEnabled {
-		t.Skip("race-mode sync.Pool drops Puts, so the pooled batch scratch allocates by design")
+		t.Skip("race-mode sync.Pool drops Puts, so the pooled predict scratch allocates by design")
 	}
-	r := newRouter(t, 4, 32, 128, kvstore.Options{})
+	s := openSharded(t, 4, 128)
 	n := 16
 	keys := make([]uint64, n)
 	vals := make([][]byte, n)
@@ -144,21 +178,21 @@ func TestRouterBatchZeroAlloc(t *testing.T) {
 	}
 	dsts := make([][]byte, n)
 	oks := make([]bool, n)
-	if err := r.PutBatch(keys, vals, nil); err != nil { // warm all scratch
+	if err := s.PutBatch(keys, vals, nil); err != nil { // warm all scratch
 		t.Fatal(err)
 	}
-	if err := r.GetBatch(keys, dsts, oks, nil); err != nil {
+	if err := s.GetBatch(keys, dsts, oks, nil); err != nil {
 		t.Fatal(err)
 	}
 	if a := testing.AllocsPerRun(50, func() {
-		if err := r.PutBatch(keys, vals, nil); err != nil {
+		if err := s.PutBatch(keys, vals, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); a != 0 {
 		t.Fatalf("PutBatch allocates %v per batch, want 0", a)
 	}
 	if a := testing.AllocsPerRun(50, func() {
-		if err := r.GetBatch(keys, dsts, oks, nil); err != nil {
+		if err := s.GetBatch(keys, dsts, oks, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); a != 0 {

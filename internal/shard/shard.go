@@ -36,8 +36,9 @@ type Shard interface {
 	Put(key uint64, value []byte) error
 	GetInto(key uint64, dst []byte) ([]byte, bool, error)
 	Delete(key uint64) (bool, error)
-	PutBatch(keys []uint64, values [][]byte, errs []error) error
-	GetBatch(keys []uint64, dsts [][]byte, oks []bool, errs []error) error
+	// Scrub examines up to n segments of the shard's serving medium; see
+	// kvstore.Store.Scrub.
+	Scrub(n int) (kvstore.ScrubReport, error)
 	// NextInto returns the smallest live key in [lo, hi] the shard itself
 	// still holds, with its value copied into dst; see
 	// kvstore.Store.NextInto.
@@ -229,25 +230,32 @@ func (r *Router) serving() []*kvstore.Store {
 // to zero, and a fixed remainder assignment would scrub the first shards
 // forever while later shards' zones rot unexamined. Each store also keeps
 // its own segment cursor, so repeated calls sweep every shard's whole
-// zone. n <= 0 examines nothing. The aggregated report is returned; on
-// error the partial report and the first error are.
+// zone. Each shard scrubs through its own Scrub, so a replica group fails
+// over around a leader that dies mid-pass exactly as it does for a Put.
+// n <= 0 examines nothing. The aggregated report is returned; on error the
+// partial report and the first error are.
 func (r *Router) Scrub(n int) (kvstore.ScrubReport, error) {
 	var agg kvstore.ScrubReport
-	stores := r.serving()
-	if n <= 0 || len(stores) == 0 {
+	live := make([]Shard, 0, len(r.shards))
+	for _, sh := range r.shards {
+		if sh.Serving() != nil {
+			live = append(live, sh)
+		}
+	}
+	if n <= 0 || len(live) == 0 {
 		return agg, nil
 	}
-	per, rem := n/len(stores), n%len(stores)
-	start := int((r.scrubUnits.Add(uint64(rem)) - uint64(rem)) % uint64(len(stores)))
-	for i, st := range stores {
+	per, rem := n/len(live), n%len(live)
+	start := int((r.scrubUnits.Add(uint64(rem)) - uint64(rem)) % uint64(len(live)))
+	for i, sh := range live {
 		quota := per
-		if (i-start+len(stores))%len(stores) < rem {
+		if (i-start+len(live))%len(live) < rem {
 			quota++
 		}
 		if quota == 0 {
 			continue
 		}
-		rep, err := st.Scrub(quota)
+		rep, err := sh.Scrub(quota)
 		agg.Add(rep)
 		if err != nil {
 			return agg, err

@@ -265,3 +265,35 @@ func TestReplicatedFailoverAndMigration(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosScrubFailsOverDeadLeader: a Scrub pass that lands on a leader
+// whose whole device has just been fenced must fail over like a Put does —
+// no error to the caller, one promotion, every acknowledged write still
+// readable from the promoted follower.
+func TestChaosScrubFailsOverDeadLeader(t *testing.T) {
+	cfg := replConfig(2, 2)
+	cfg.NumSegments = 256
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	val := func(k uint64) []byte { return []byte(fmt.Sprintf("scrub-%d", k)) }
+	for k := uint64(0); k < 40; k++ {
+		if err := s.Put(k, val(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fenceShard(t, s, 0)
+	if _, err := s.Scrub(16); err != nil {
+		t.Fatalf("Scrub over a dead leader = %v, want failover and nil", err)
+	}
+	if f := s.Metrics().Failovers; f != 1 {
+		t.Fatalf("Failovers = %d after Scrub hit a dead leader, want 1", f)
+	}
+	for k := uint64(0); k < 40; k++ {
+		if v, ok, err := s.Get(k); err != nil || !ok || !bytes.Equal(v, val(k)) {
+			t.Fatalf("Get(%d) = (%q,%v,%v), want %q", k, v, ok, err, val(k))
+		}
+	}
+}

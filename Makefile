@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race stress lint lint-perf lint-self vet bench bench-e2e fault chaos
+.PHONY: all build test race stress lint lint-perf lint-self vet bench bench-e2e fault chaos experiments golden
 
 all: build lint test
 
@@ -14,7 +14,12 @@ build:
 # escapes, nobce, inlinebudget) — see DESIGN.md §8, §12 and §13. -github
 # makes each finding a ::error annotation under Actions; it prints nothing
 # extra when the tree is clean.
+#
+# gofmt runs first, over every Go file outside testdata/ (the analyzer
+# fixtures keep their deliberate shapes).
 lint:
+	@unformatted=$$(find . -name '*.go' -not -path '*/testdata/*' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/e2nvm-lint -github ./...
 
@@ -80,3 +85,18 @@ bench:
 # runs. Its numbers are not a baseline; see bench/README.md.
 bench-e2e:
 	$(GO) run ./bench -quick
+
+# Regenerate experiments_output.txt, the committed record every number in
+# EXPERIMENTS.md is quoted from: every registered experiment at scale 0.5,
+# seed 42 (~1 min on 2 vCPU). The file is only replaced when every
+# experiment succeeds.
+experiments:
+	$(GO) run ./cmd/e2nvm-bench -all -scale 0.5 -seed 42 > experiments_output.txt.tmp
+	mv experiments_output.txt.tmp experiments_output.txt
+
+# Every experiment rerun and compared with experiments_output.txt, line by
+# line, wall-clock cells and timing lines masked: a change that moves a
+# simulated number fails here until the file is regenerated with
+# `make experiments`. Not under -race, where the test skips itself.
+golden:
+	$(GO) test -count=1 -run TestExperimentsMatchCommittedOutput ./internal/experiments

@@ -12,7 +12,6 @@ import (
 	"math/rand"
 
 	"e2nvm/internal/core"
-	"e2nvm/internal/dap"
 	"e2nvm/internal/index"
 	"e2nvm/internal/kvstore"
 	"e2nvm/internal/nvm"
@@ -81,18 +80,9 @@ func run(name string, vg *workload.ValueGen, augmented bool) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		pool, err := dap.New(clusters)
-		if err != nil {
+		if values, err = kvstore.NewClusteredAllocator(model, clusters, dev, addrs(metaSegs, numSegs-metaSegs)); err != nil {
 			return 0, err
 		}
-		for a := metaSegs; a < numSegs; a++ {
-			img, err := dev.Peek(a)
-			if err != nil {
-				return 0, err
-			}
-			pool.Add(model.MustPredictBytes(img), a)
-		}
-		values = kvstore.NewClusteredAllocator(core.NewManager(model), pool)
 	}
 
 	var st index.Store

@@ -6,6 +6,7 @@ import (
 
 	"e2nvm/internal/bitvec"
 	"e2nvm/internal/core"
+	"e2nvm/internal/kvstore"
 	"e2nvm/internal/nvm"
 	"e2nvm/internal/stats"
 	"e2nvm/internal/workload"
@@ -56,7 +57,7 @@ func AblationIntraClusterSearch(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		p, err := newClusterPlacer(model, k, dev, addrRange(n))
+		p, err := kvstore.NewClusteredAllocator(model, k, dev, addrRange(n))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -174,7 +175,7 @@ func AblationJointTraining(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, err := newClusterPlacer(model, k, dev, addrRange(len(seedImgs)))
+		p, err := kvstore.NewClusteredAllocator(model, k, dev, addrRange(len(seedImgs)))
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +217,7 @@ func AblationLatentDim(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, err := newClusterPlacer(model, k, dev, addrRange(len(seedImgs)))
+		p, err := kvstore.NewClusteredAllocator(model, k, dev, addrRange(len(seedImgs)))
 		if err != nil {
 			return nil, err
 		}
@@ -253,16 +254,16 @@ func AblationDifferentialWrite(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		p, err := newClusterPlacer(model, k, dev, addrRange(n))
+		p, err := kvstore.NewClusteredAllocator(model, k, dev, addrRange(n))
 		if err != nil {
 			return 0, err
 		}
 		dev.ResetStats()
 		var live []int
 		for _, item := range items {
-			addr, ok := p.place(item)
-			if !ok {
-				return 0, fmt.Errorf("abl-diff: pool exhausted")
+			addr, err := p.Place(item)
+			if err != nil {
+				return 0, err
 			}
 			if raw {
 				if _, err := dev.WriteRaw(addr, item); err != nil {
@@ -276,7 +277,7 @@ func AblationDifferentialWrite(cfg RunConfig) (*Result, error) {
 				v := live[0]
 				live = live[1:]
 				img, _ := dev.Peek(v)
-				p.recycle(v, img)
+				p.Release(v, img)
 			}
 		}
 		s := dev.Stats()

@@ -11,7 +11,7 @@ import (
 	"io"
 	"sort"
 
-	"e2nvm/internal/dap"
+	"e2nvm/internal/index"
 	"e2nvm/internal/nvm"
 	"e2nvm/internal/stats"
 )
@@ -118,13 +118,6 @@ func IDs() []string {
 
 // ---------------------------------------------------------------- common --
 
-// predictor maps a segment image to a cluster id. Geometry errors are
-// programming bugs in the drivers (they construct their own inputs), so
-// call sites go through mustPredict.
-type predictor interface {
-	PredictBytes(b []byte) (int, error)
-}
-
 // mustPredict unwraps a predict result; experiment inputs are self-made,
 // so a geometry error is a bug in the experiment, not a runtime condition.
 func mustPredict(c int, err error) int {
@@ -134,100 +127,17 @@ func mustPredict(c int, err error) int {
 	return c
 }
 
-// placer chooses destinations for incoming writes.
-type placer interface {
-	place(content []byte) (int, bool)
-	recycle(addr int, content []byte)
-}
-
-// clusterPlacer places through a predictor and a dynamic address pool.
-type clusterPlacer struct {
-	model predictor
-	pool  *dap.Pool
-	// fallbacks counts placements served from a different cluster than
-	// predicted (the predicted cluster was empty).
-	fallbacks int
-}
-
-func newClusterPlacer(model predictor, k int, dev *nvm.Device, freeAddrs []int) (*clusterPlacer, error) {
-	pool, err := dap.New(k)
-	if err != nil {
-		return nil, err
-	}
-	// Bulk-predict when the model supports it (core.Model does, in
-	// parallel); fall back to sequential prediction otherwise.
-	imgs := make([][]byte, len(freeAddrs))
-	for i, a := range freeAddrs {
-		img, err := dev.Peek(a)
-		if err != nil {
-			return nil, err
-		}
-		imgs[i] = img
-	}
-	if bp, ok := model.(interface {
-		PredictBytesBatch([][]byte) ([]int, error)
-	}); ok {
-		clusters, err := bp.PredictBytesBatch(imgs)
-		if err != nil {
-			return nil, err
-		}
-		for i, c := range clusters {
-			pool.Add(c, freeAddrs[i])
-		}
-	} else {
-		for i, img := range imgs {
-			pool.Add(mustPredict(model.PredictBytes(img)), freeAddrs[i])
-		}
-	}
-	return &clusterPlacer{model: model, pool: pool}, nil
-}
-
-func (p *clusterPlacer) place(content []byte) (int, bool) {
-	cluster := mustPredict(p.model.PredictBytes(content))
-	addr, servedBy, ok := p.pool.Get(cluster)
-	if ok && servedBy != cluster {
-		p.fallbacks++
-	}
-	return addr, ok
-}
-
-func (p *clusterPlacer) recycle(addr int, content []byte) {
-	p.pool.Add(mustPredict(p.model.PredictBytes(content)), addr)
-}
-
-// fifoPlacer is the arbitrary-placement baseline.
-type fifoPlacer struct {
-	free []int
-}
-
-func newFIFOPlacer(freeAddrs []int) *fifoPlacer {
-	return &fifoPlacer{free: append([]int(nil), freeAddrs...)}
-}
-
-func (p *fifoPlacer) place(content []byte) (int, bool) {
-	if len(p.free) == 0 {
-		return 0, false
-	}
-	a := p.free[0]
-	p.free = p.free[1:]
-	return a, true
-}
-
-func (p *fifoPlacer) recycle(addr int, content []byte) {
-	p.free = append(p.free, addr)
-}
-
-// runPlacement streams items through a placer onto dev, keeping at most
-// liveCap segments occupied (older segments are deleted and recycled, the
-// steady-state churn of the paper's experiments). It returns per-item bit
-// flips.
-func runPlacement(dev *nvm.Device, p placer, items [][]byte, liveCap int) ([]float64, error) {
+// runPlacement streams items through an allocator onto dev, keeping at
+// most liveCap segments occupied (older segments are deleted and released,
+// the steady-state churn of the paper's experiments). It returns per-item
+// bit flips.
+func runPlacement(dev *nvm.Device, a index.Allocator, items [][]byte, liveCap int) ([]float64, error) {
 	flips := make([]float64, 0, len(items))
 	var live []int
 	for _, item := range items {
-		addr, ok := p.place(item)
-		if !ok {
-			return nil, fmt.Errorf("experiments: placement pool exhausted")
+		addr, err := a.Place(item)
+		if err != nil {
+			return nil, err
 		}
 		res, err := dev.Write(addr, item)
 		if err != nil {
@@ -242,7 +152,7 @@ func runPlacement(dev *nvm.Device, p placer, items [][]byte, liveCap int) ([]flo
 			if err != nil {
 				return nil, err
 			}
-			p.recycle(victim, img)
+			a.Release(victim, img)
 		}
 	}
 	// Drain the remaining live segments so the pool is conserved across
@@ -252,7 +162,7 @@ func runPlacement(dev *nvm.Device, p placer, items [][]byte, liveCap int) ([]flo
 		if err != nil {
 			return nil, err
 		}
-		p.recycle(victim, img)
+		a.Release(victim, img)
 	}
 	return flips, nil
 }

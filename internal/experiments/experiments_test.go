@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"e2nvm/internal/index"
 	"e2nvm/internal/nvm"
 )
 
@@ -263,7 +264,7 @@ func TestPlacementHarnessConservesPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := newFIFOPlacer(addrRange(16))
+	p := index.NewFreeList(addrRange(16))
 	items := make([][]byte, 40)
 	for i := range items {
 		items[i] = make([]byte, 8)
@@ -273,8 +274,8 @@ func TestPlacementHarnessConservesPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After the drain, every address is free again.
-	if len(p.free) != 16 {
-		t.Fatalf("pool not conserved: %d free, want 16", len(p.free))
+	if p.FreeCount() != 16 {
+		t.Fatalf("pool not conserved: %d free, want 16", p.FreeCount())
 	}
 	// Running again must therefore succeed.
 	if _, err := runPlacement(dev, p, items, 8); err != nil {

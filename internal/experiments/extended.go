@@ -6,6 +6,8 @@ import (
 	"e2nvm/internal/bitvec"
 	"e2nvm/internal/core"
 	"e2nvm/internal/hamtree"
+	"e2nvm/internal/index"
+	"e2nvm/internal/kvstore"
 	"e2nvm/internal/nvm"
 	"e2nvm/internal/pnw"
 	"e2nvm/internal/rbw"
@@ -47,18 +49,19 @@ func Extended(cfg RunConfig) (*Result, error) {
 
 	table := stats.NewTable("scheme", "flips/write", "energy_pJ/write")
 
-	measure := func(name string, p placer) error {
+	// measure builds each scheme's allocator over a freshly seeded device:
+	// the content-aware ones index the seed contents.
+	measure := func(name string, build func(*nvm.Device) (index.Allocator, error)) error {
 		dev, err := seededDevice(devCfg, seedImgs)
 		if err != nil {
 			return err
 		}
-		if init, ok := p.(interface{ init(dev *nvm.Device) error }); ok {
-			if err := init.init(dev); err != nil {
-				return err
-			}
+		a, err := build(dev)
+		if err != nil {
+			return err
 		}
 		dev.ResetStats()
-		if _, err := runPlacement(dev, p, items, n/2); err != nil {
+		if _, err := runPlacement(dev, a, items, n/2); err != nil {
 			return err
 		}
 		s := dev.Stats()
@@ -66,25 +69,25 @@ func Extended(cfg RunConfig) (*Result, error) {
 		return nil
 	}
 
-	// FIFO / arbitrary.
-	if err := measure("arbitrary", newFIFOPlacer(addrRange(n))); err != nil {
-		return nil, err
+	clustered := func(pred kvstore.Predictor) func(*nvm.Device) (index.Allocator, error) {
+		return func(dev *nvm.Device) (index.Allocator, error) {
+			return kvstore.NewClusteredAllocator(pred, k, dev, addrRange(n))
+		}
 	}
-	// DATACON-style.
-	if err := measure("DATACON", &dataconPlacer{}); err != nil {
-		return nil, err
+	schemes := []struct {
+		name  string
+		build func(*nvm.Device) (index.Allocator, error)
+	}{
+		{"arbitrary", func(*nvm.Device) (index.Allocator, error) { return index.NewFreeList(addrRange(n)), nil }},
+		{"DATACON", newDatacon},
+		{"Hamming-Tree", newHamtreeAlloc},
+		{"PNW", clustered(pnwAdapter{pm})},
+		{"E2-NVM", clustered(e2)},
 	}
-	// Hamming-Tree.
-	if err := measure("Hamming-Tree", &hamtreePlacer{segSize: segSize}); err != nil {
-		return nil, err
-	}
-	// PNW and E2-NVM (cluster placement needs the seeded device, so use
-	// the init hook too).
-	if err := measure("PNW", &lazyClusterPlacer{model: pnwAdapter{pm}, k: k, n: n}); err != nil {
-		return nil, err
-	}
-	if err := measure("E2-NVM", &lazyClusterPlacer{model: e2, k: k, n: n}); err != nil {
-		return nil, err
+	for _, sc := range schemes {
+		if err := measure(sc.name, sc.build); err != nil {
+			return nil, err
+		}
 	}
 
 	// E2-NVM + FNW: content-aware placement, then Flip-N-Write encoding
@@ -94,7 +97,7 @@ func Extended(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cp, err := newClusterPlacer(e2, k, dev, addrRange(n))
+		cp, err := kvstore.NewClusteredAllocator(e2, k, dev, addrRange(n))
 		if err != nil {
 			return nil, err
 		}
@@ -104,9 +107,9 @@ func Extended(cfg RunConfig) (*Result, error) {
 		tagFlips := 0
 		var live []int
 		for _, item := range items {
-			addr, ok := cp.place(item)
-			if !ok {
-				return nil, fmt.Errorf("exp-extended: pool exhausted")
+			addr, err := cp.Place(item)
+			if err != nil {
+				return nil, err
 			}
 			old, err := dev.Peek(addr)
 			if err != nil {
@@ -125,7 +128,7 @@ func Extended(cfg RunConfig) (*Result, error) {
 				img, _ := dev.Peek(v)
 				// Recycling predicts on the *decoded* content so the
 				// cluster reflects logical data, not FNW encoding.
-				cp.recycle(v, toBytesDecode(fnw, img, tags[v]))
+				cp.Release(v, fnw.Decode(img, tags[v]))
 			}
 		}
 		s := dev.Stats()
@@ -145,31 +148,52 @@ func Extended(cfg RunConfig) (*Result, error) {
 	}, nil
 }
 
-func toBytesDecode(f rbw.FNW, stored, tags []byte) []byte {
-	return f.Decode(stored, tags)
-}
-
 // dataconPlacer models DATACON: free segments are classified by 1-density
 // into mostly-zeros / mostly-ones / other, and each write is redirected to
 // the class matching its content.
 type dataconPlacer struct {
-	dev                *nvm.Device
 	zeros, ones, other []int
 }
 
-func (p *dataconPlacer) init(dev *nvm.Device) error {
-	p.dev = dev
+// newDatacon classifies every segment of dev as free.
+func newDatacon(dev *nvm.Device) (index.Allocator, error) {
+	p := &dataconPlacer{}
 	for a := 0; a < dev.NumSegments(); a++ {
 		img, err := dev.Peek(a)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		p.add(a, img)
+		p.Release(a, img)
 	}
-	return nil
+	return p, nil
 }
 
-func (p *dataconPlacer) add(addr int, content []byte) {
+func density(b []byte) float64 {
+	if len(b) == 0 {
+		return 0.5
+	}
+	return float64(bitvec.FromBytes(b).OnesCount()) / float64(len(b)*8)
+}
+
+// Place implements index.Allocator.
+func (p *dataconPlacer) Place(content []byte) (int, error) {
+	prefs := [][]*[]int{{&p.zeros, &p.other, &p.ones}, {&p.ones, &p.other, &p.zeros}}
+	idx := 0
+	if density(content) >= 0.5 {
+		idx = 1
+	}
+	for _, list := range prefs[idx] {
+		if len(*list) > 0 {
+			a := (*list)[0]
+			*list = (*list)[1:]
+			return a, nil
+		}
+	}
+	return 0, index.ErrNoSpace
+}
+
+// Release implements index.Allocator.
+func (p *dataconPlacer) Release(addr int, content []byte) {
 	switch d := density(content); {
 	case d < 0.35:
 		p.zeros = append(p.zeros, addr)
@@ -180,81 +204,45 @@ func (p *dataconPlacer) add(addr int, content []byte) {
 	}
 }
 
-func density(b []byte) float64 {
-	if len(b) == 0 {
-		return 0.5
-	}
-	return float64(bitvec.FromBytes(b).OnesCount()) / float64(len(b)*8)
-}
-
-func (p *dataconPlacer) place(content []byte) (int, bool) {
-	prefs := [][]*[]int{{&p.zeros, &p.other, &p.ones}, {&p.ones, &p.other, &p.zeros}}
-	idx := 0
-	if density(content) >= 0.5 {
-		idx = 1
-	}
-	for _, list := range prefs[idx] {
-		if len(*list) > 0 {
-			a := (*list)[0]
-			*list = (*list)[1:]
-			return a, true
-		}
-	}
-	return 0, false
-}
-
-func (p *dataconPlacer) recycle(addr int, content []byte) { p.add(addr, content) }
+// FreeCount implements index.Allocator.
+func (p *dataconPlacer) FreeCount() int { return len(p.zeros) + len(p.ones) + len(p.other) }
 
 // hamtreePlacer routes writes through a Hamming BK-tree over free-segment
 // contents.
 type hamtreePlacer struct {
-	segSize int
-	tree    *hamtree.Tree
+	tree *hamtree.Tree
 }
 
-func (p *hamtreePlacer) init(dev *nvm.Device) error {
-	t, err := hamtree.New(p.segSize)
+// newHamtreeAlloc indexes every segment of dev as free.
+func newHamtreeAlloc(dev *nvm.Device) (index.Allocator, error) {
+	t, err := hamtree.New(dev.SegmentSize())
 	if err != nil {
-		return err
+		return nil, err
 	}
-	p.tree = t
 	for a := 0; a < dev.NumSegments(); a++ {
 		img, err := dev.Peek(a)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := t.Insert(a, img); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return &hamtreePlacer{tree: t}, nil
 }
 
-func (p *hamtreePlacer) place(content []byte) (int, bool) {
+// Place implements index.Allocator.
+func (p *hamtreePlacer) Place(content []byte) (int, error) {
 	addr, _, ok := p.tree.Nearest(content)
-	return addr, ok
-}
-
-func (p *hamtreePlacer) recycle(addr int, content []byte) {
-	_ = p.tree.Insert(addr, content)
-}
-
-// lazyClusterPlacer defers pool construction until the seeded device is
-// available (via the init hook).
-type lazyClusterPlacer struct {
-	model predictor
-	k, n  int
-	inner *clusterPlacer
-}
-
-func (p *lazyClusterPlacer) init(dev *nvm.Device) error {
-	cp, err := newClusterPlacer(p.model, p.k, dev, addrRange(p.n))
-	if err != nil {
-		return err
+	if !ok {
+		return 0, index.ErrNoSpace
 	}
-	p.inner = cp
-	return nil
+	return addr, nil
 }
 
-func (p *lazyClusterPlacer) place(content []byte) (int, bool) { return p.inner.place(content) }
-func (p *lazyClusterPlacer) recycle(addr int, content []byte) { p.inner.recycle(addr, content) }
+// Release implements index.Allocator; the tree rejects only content of the
+// wrong width, which the experiment never produces.
+func (p *hamtreePlacer) Release(addr int, content []byte) { _ = p.tree.Insert(addr, content) }
+
+// FreeCount implements index.Allocator.
+func (p *hamtreePlacer) FreeCount() int { return p.tree.Len() }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"e2nvm/internal/core"
+	"e2nvm/internal/kvstore"
 	"e2nvm/internal/nvm"
 	"e2nvm/internal/pnw"
 	"e2nvm/internal/rbw"
@@ -50,12 +51,12 @@ func Fig2(cfg RunConfig) (*Result, error) {
 		devCfg := nvm.DefaultConfig(segSize, numSegs)
 		devCfg.WearLevelPeriod = psi
 
-		runClustered := func(model predictor) (float64, error) {
+		runClustered := func(model kvstore.Predictor) (float64, error) {
 			dev, err := seededDevice(devCfg, seedImgs)
 			if err != nil {
 				return 0, err
 			}
-			p, err := newClusterPlacer(model, k, dev, addrRange(numSegs))
+			p, err := kvstore.NewClusteredAllocator(model, k, dev, addrRange(numSegs))
 			if err != nil {
 				return 0, err
 			}
@@ -102,7 +103,7 @@ func Fig2(cfg RunConfig) (*Result, error) {
 	}, nil
 }
 
-// pnwAdapter lets a PNW model serve the predictor interface.
+// pnwAdapter lets a PNW model serve as a kvstore.Predictor.
 type pnwAdapter struct{ m *pnw.Model }
 
 func (a pnwAdapter) PredictBytes(b []byte) (int, error) {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"e2nvm/internal/core"
+	"e2nvm/internal/kvstore"
 	"e2nvm/internal/nvm"
 	"e2nvm/internal/pnw"
 	"e2nvm/internal/stats"
@@ -61,12 +62,12 @@ func Fig4(cfg RunConfig) (*Result, error) {
 		}
 		vaeMs := float64(time.Since(t0).Microseconds()) / 1e3 // lint:allow deepdeterminism — Figure 4 reports wall-clock training time
 
-		flips := func(model predictor) (float64, error) {
+		flips := func(model kvstore.Predictor) (float64, error) {
 			dev, err := seededDevice(nvm.DefaultConfig(dim/8, n), seedImgs)
 			if err != nil {
 				return 0, err
 			}
-			p, err := newClusterPlacer(model, k, dev, addrRange(n))
+			p, err := kvstore.NewClusteredAllocator(model, k, dev, addrRange(n))
 			if err != nil {
 				return 0, err
 			}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"e2nvm/internal/core"
-	"e2nvm/internal/dap"
+	"e2nvm/internal/kvstore"
 	"e2nvm/internal/nvm"
 	"e2nvm/internal/stats"
 	"e2nvm/internal/workload"
@@ -61,19 +61,11 @@ func Fig7(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pool, err := dap.New(k)
+		p, err := kvstore.NewClusteredAllocator(model, k, dev, addrRange(n))
 		if err != nil {
 			return nil, err
 		}
-		for a := 0; a < n; a++ {
-			img, err := dev.Peek(a)
-			if err != nil {
-				return nil, err
-			}
-			pool.Add(mustPredict(model.PredictBytes(img)), a)
-		}
-		footprintKB := float64(pool.FootprintBytes()) / 1024
-		p := &clusterPlacer{model: model, pool: pool}
+		footprintKB := float64(p.Pool().FootprintBytes()) / 1024
 		dev.ResetStats()
 		if _, err := runPlacement(dev, p, items, n*3/4); err != nil {
 			return nil, err
@@ -83,7 +75,7 @@ func Fig7(cfg RunConfig) (*Result, error) {
 			footprintKB,
 			float64(s.BitsFlipped)/float64(s.Writes),
 			s.EnergyPJ/float64(s.Writes),
-			p.fallbacks,
+			p.Fallbacks(),
 		)
 	}
 	return &Result{

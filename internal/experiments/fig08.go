@@ -5,6 +5,7 @@ import (
 
 	"e2nvm/internal/energy"
 	"e2nvm/internal/kmeans"
+	"e2nvm/internal/kvstore"
 	"e2nvm/internal/nvm"
 	"e2nvm/internal/stats"
 	"e2nvm/internal/vae"
@@ -55,7 +56,7 @@ func Fig8(cfg RunConfig) (*Result, error) {
 			return nil, err
 		}
 		model := &vaeKMeansPredictor{v: v, km: km}
-		p, err := newClusterPlacer(model, k, dev, addrRange(n))
+		p, err := kvstore.NewClusteredAllocator(model, k, dev, addrRange(n))
 		if err != nil {
 			return nil, err
 		}

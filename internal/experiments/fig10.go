@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"e2nvm/internal/core"
+	"e2nvm/internal/kvstore"
 	"e2nvm/internal/nvm"
 	"e2nvm/internal/pnw"
 	"e2nvm/internal/rbw"
@@ -73,12 +74,12 @@ func Fig10(cfg RunConfig) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			run := func(model predictor) (float64, error) {
+			run := func(model kvstore.Predictor) (float64, error) {
 				dev, err := seededDevice(devCfg, seedImgs)
 				if err != nil {
 					return 0, err
 				}
-				p, err := newClusterPlacer(model, k, dev, addrRange(n))
+				p, err := kvstore.NewClusteredAllocator(model, k, dev, addrRange(n))
 				if err != nil {
 					return 0, err
 				}
@@ -108,7 +109,7 @@ func Fig10(cfg RunConfig) (*Result, error) {
 				mustPredict(pnwAdapter{pm}.PredictBytes(it))
 			}
 			pnwUs := float64(time.Since(t0).Microseconds()) / float64(len(probe)) // lint:allow deepdeterminism — Figure 10 reports wall-clock prediction latency
-			t0 = time.Now() // lint:allow deepdeterminism — Figure 10 reports wall-clock prediction latency
+			t0 = time.Now()                                                       // lint:allow deepdeterminism — Figure 10 reports wall-clock prediction latency
 			for _, it := range probe {
 				mustPredict(em.PredictBytes(it))
 			}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"e2nvm/internal/core"
-	"e2nvm/internal/dap"
 	"e2nvm/internal/index"
 	"e2nvm/internal/kvstore"
 	"e2nvm/internal/nvm"
@@ -76,13 +75,13 @@ func Fig12(cfg RunConfig) (*Result, error) {
 	}
 	mkWK := func(dev *nvm.Device, meta *index.FreeList, values index.Allocator) (index.Store, error) {
 		if values == nil {
-			values = index.NewFreeList(addrOffset(metaSegs, valueSegs))
+			values = index.NewFreeList(addrRange(numSegs)[metaSegs:])
 		}
 		return index.NewWiscKey(dev, meta, values, 32, 4)
 	}
 	mkNL := func(dev *nvm.Device, meta *index.FreeList, values index.Allocator) (index.Store, error) {
 		if values == nil {
-			values = index.NewFreeList(addrOffset(metaSegs, valueSegs))
+			values = index.NewFreeList(addrRange(numSegs)[metaSegs:])
 		}
 		return index.NewNoveLSM(dev, meta, values, 4)
 	}
@@ -114,18 +113,9 @@ func Fig12(cfg RunConfig) (*Result, error) {
 		meta := index.NewFreeList(addrRange(metaSegs))
 		var values index.Allocator
 		if augmented {
-			pool, err := dap.New(k)
-			if err != nil {
+			if values, err = kvstore.NewClusteredAllocator(model, k, dev, addrRange(numSegs)[metaSegs:]); err != nil {
 				return 0, err
 			}
-			for a := metaSegs; a < numSegs; a++ {
-				img, err := dev.Peek(a)
-				if err != nil {
-					return 0, err
-				}
-				pool.Add(mustPredict(model.PredictBytes(img)), a)
-			}
-			values = kvstore.NewClusteredAllocator(core.NewManager(model), pool)
 		}
 		st, err := b(dev, meta, values)
 		if err != nil {
@@ -175,13 +165,4 @@ func Fig12(cfg RunConfig) (*Result, error) {
 			"expected shape: every store improves when plugged into E2-NVM; the sorted B+-Tree improves the most (paper: up to 91%)",
 		},
 	}, nil
-}
-
-// addrOffset returns [off, off+n).
-func addrOffset(off, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = off + i
-	}
-	return out
 }

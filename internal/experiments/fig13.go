@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"e2nvm/internal/core"
+	"e2nvm/internal/kvstore"
 	"e2nvm/internal/nvm"
 	"e2nvm/internal/stats"
 	"e2nvm/internal/workload"
@@ -65,7 +66,7 @@ func Fig13(cfg RunConfig) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			p, err := newClusterPlacer(model, k, dev, addrRange(pool))
+			p, err := kvstore.NewClusteredAllocator(model, k, dev, addrRange(pool))
 			if err != nil {
 				return nil, err
 			}

@@ -5,6 +5,7 @@ import (
 
 	"e2nvm/internal/bitvec"
 	"e2nvm/internal/core"
+	"e2nvm/internal/kvstore"
 	"e2nvm/internal/nvm"
 	"e2nvm/internal/padding"
 	"e2nvm/internal/stats"
@@ -71,7 +72,7 @@ func Fig14(cfg RunConfig) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				placerP, err := newClusterPlacer(model, k, dev, addrRange(len(train)))
+				alloc, err := kvstore.NewClusteredAllocator(model, k, dev, addrRange(len(train)))
 				if err != nil {
 					return nil, err
 				}
@@ -79,7 +80,7 @@ func Fig14(cfg RunConfig) (*Result, error) {
 				for _, full := range testFull {
 					item := crop(full, loc)
 					cluster := mustPredict(model.PredictPadded(item))
-					addr, _, ok := placerP.pool.Get(cluster)
+					addr, _, ok := alloc.Pool().Get(cluster)
 					if !ok {
 						return nil, fmt.Errorf("fig14: pool exhausted")
 					}
@@ -98,7 +99,7 @@ func Fig14(cfg RunConfig) (*Result, error) {
 					if err := dev.FillSegment(addr, core.BitsToBytes(img)); err != nil {
 						return nil, err
 					}
-					placerP.recycle(addr, core.BitsToBytes(img))
+					alloc.Release(addr, core.BitsToBytes(img))
 				}
 				table.AddRow(ds.Name, loc.String(), kind.String(), float64(totalFlips)/float64(words))
 			}

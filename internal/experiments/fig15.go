@@ -5,6 +5,7 @@ import (
 
 	"e2nvm/internal/bitvec"
 	"e2nvm/internal/core"
+	"e2nvm/internal/kvstore"
 	"e2nvm/internal/nvm"
 	"e2nvm/internal/padding"
 	"e2nvm/internal/stats"
@@ -53,7 +54,7 @@ func Fig15(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cp, err := newClusterPlacer(model, k, dev, addrRange(len(train)))
+		cp, err := kvstore.NewClusteredAllocator(model, k, dev, addrRange(len(train)))
 		if err != nil {
 			return nil, err
 		}
@@ -62,7 +63,7 @@ func Fig15(cfg RunConfig) (*Result, error) {
 			keep := bits * (100 - pct) / 100
 			item := append([]float64(nil), full[:keep]...)
 			cluster := mustPredict(model.PredictPadded(item))
-			addr, _, ok := cp.pool.Get(cluster)
+			addr, _, ok := cp.Pool().Get(cluster)
 			if !ok {
 				return nil, fmt.Errorf("fig15: pool exhausted")
 			}
@@ -78,7 +79,7 @@ func Fig15(cfg RunConfig) (*Result, error) {
 			if err := dev.FillSegment(addr, core.BitsToBytes(img)); err != nil {
 				return nil, err
 			}
-			cp.recycle(addr, core.BitsToBytes(img))
+			cp.Release(addr, core.BitsToBytes(img))
 		}
 		fw := float64(totalFlips) / float64(words)
 		table.AddRow(pct, fw)

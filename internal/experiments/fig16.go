@@ -5,6 +5,8 @@ import (
 
 	"e2nvm/internal/core"
 	"e2nvm/internal/energy"
+	"e2nvm/internal/index"
+	"e2nvm/internal/kvstore"
 	"e2nvm/internal/nvm"
 	"e2nvm/internal/stats"
 	"e2nvm/internal/workload"
@@ -59,7 +61,7 @@ func Fig16(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := newClusterPlacer(model, k, dev, addrRange(numSegs))
+	p, err := kvstore.NewClusteredAllocator(model, k, dev, addrRange(numSegs))
 	if err != nil {
 		return nil, err
 	}
@@ -71,9 +73,9 @@ func Fig16(cfg RunConfig) (*Result, error) {
 			items := toBytesAll(ds.Items[from+pass*numSegs:from+(pass+1)*numSegs], segSize)
 			for i, it := range items {
 				prof.AddCompute(model.FLOPsPerPredict())
-				addr, ok := p.place(it)
-				if !ok {
-					return 0, fmt.Errorf("fig16: pool exhausted")
+				addr, err := p.Place(it)
+				if err != nil {
+					return 0, err
 				}
 				res, err := dev.Write(addr, it)
 				if err != nil {
@@ -84,7 +86,7 @@ func Fig16(cfg RunConfig) (*Result, error) {
 				if err != nil {
 					return 0, err
 				}
-				p.recycle(addr, img)
+				p.Release(addr, img)
 				if i%64 == 0 {
 					record(name)
 				}
@@ -120,7 +122,7 @@ func Fig16(cfg RunConfig) (*Result, error) {
 	table.AddRow("3:retrain", (prof.TimeNs()-t0)/1e6, (prof.EnergyPJ()-e0)/1e6, 0.0)
 	// Rebuild the pool under the new model (every segment is recycled
 	// immediately in this loop, so all addresses are free).
-	p, err = newClusterPlacer(model2, k, dev, addrRange(numSegs))
+	p, err = kvstore.NewClusteredAllocator(model2, k, dev, addrRange(numSegs))
 	if err != nil {
 		return nil, err
 	}
@@ -137,12 +139,15 @@ func Fig16(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	wlPlacer := newFIFOPlacer(addrRange(numSegs))
+	wlPlacer := index.NewFreeList(addrRange(numSegs))
 	wlProf := energy.New()
 	for pass := 0; pass < 9; pass++ {
 		items := toBytesAll(ds.Items[numSegs+pass*numSegs:numSegs+(pass+1)*numSegs], segSize)
 		for _, it := range items {
-			addr, _ := wlPlacer.place(it)
+			addr, err := wlPlacer.Place(it)
+			if err != nil {
+				return nil, err
+			}
 			res, err := wlDev.Write(addr, it)
 			if err != nil {
 				return nil, err
@@ -152,7 +157,7 @@ func Fig16(cfg RunConfig) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			wlPlacer.recycle(addr, img)
+			wlPlacer.Release(addr, img)
 		}
 	}
 	wl := wlDev.Stats()

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"e2nvm/internal/core"
+	"e2nvm/internal/kvstore"
 	"e2nvm/internal/nvm"
 	"e2nvm/internal/stats"
 	"e2nvm/internal/workload"
@@ -52,7 +53,7 @@ func Fig17(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := newClusterPlacer(model, k, dev, addrRange(numSegs))
+	p, err := kvstore.NewClusteredAllocator(model, k, dev, addrRange(numSegs))
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +85,7 @@ func Fig17(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		p, err = newClusterPlacer(model, k, dev, addrRange(numSegs))
+		p, err = kvstore.NewClusteredAllocator(model, k, dev, addrRange(numSegs))
 		return err
 	}
 

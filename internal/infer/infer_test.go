@@ -52,9 +52,9 @@ func naivePredict(encH, encMu *nn.Dense, cents [][]float64, seg []byte) (int, []
 // orders; see the package comment).
 func TestKernelMatchesNaive(t *testing.T) {
 	cases := []struct {
-		name                     string
-		inBits, hidden, latent,k int
-		wantG                    int
+		name                      string
+		inBits, hidden, latent, k int
+		wantG                     int
 	}{
 		{"g8/64B", 512, 128, 10, 8, 8},
 		{"g8/tiny", 32, 32, 6, 2, 8},

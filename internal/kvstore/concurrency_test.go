@@ -252,3 +252,72 @@ func TestRetrainConcurrentPut(t *testing.T) {
 		t.Fatalf("Retrains = %d, want 2", st.Retrains)
 	}
 }
+
+// TestConcurrentStressIndexMore: two IndexMore calls racing from the same
+// watermark must index disjoint ranges. Claiming the range outside the
+// store lock let both pool the same 64 segments; Indexed() then stopped at
+// 128, the duplicated addresses were handed to two keys each, and
+// acknowledged Puts read back another key's value.
+func TestConcurrentStressIndexMore(t *testing.T) {
+	s := openStore(t, 32, 256, Options{IndexFraction: 0.25})
+	if got := s.Indexed(); got != 64 {
+		t.Fatalf("Indexed() = %d at open, want 64", got)
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	errs := make([]error, 2)
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			_, errs[g] = s.IndexMore(64)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Indexed(); got != 192 {
+		t.Fatalf("Indexed() = %d after two IndexMore(64), want 192", got)
+	}
+
+	const puts = 150
+	val := func(k uint64) []byte { return []byte(fmt.Sprintf("value-%03d", k)) }
+	for k := uint64(0); k < puts; k++ {
+		if err := s.Put(k, val(k)); err != nil {
+			t.Fatalf("Put(%d): %v", k, err)
+		}
+	}
+	for k := uint64(0); k < puts; k++ {
+		got, ok, err := s.Get(k)
+		if err != nil || !ok || !bytes.Equal(got, val(k)) {
+			t.Fatalf("Get(%d) = (%q, %v, %v), want %q", k, got, ok, err, val(k))
+		}
+	}
+
+	// Every indexed segment is either live or pooled exactly once.
+	seen := map[int]bool{}
+	s.mu.Lock()
+	s.tree.Range(0, ^uint64(0), func(_ uint64, addr int64) bool {
+		seen[int(addr)] = true
+		return true
+	})
+	s.mu.Unlock()
+	for {
+		addr, _, ok := s.Pool().Get(0)
+		if !ok {
+			break
+		}
+		if seen[addr] {
+			t.Fatalf("segment %d pooled twice or pooled while live", addr)
+		}
+		seen[addr] = true
+	}
+	if len(seen) != 192 {
+		t.Fatalf("%d distinct segments live or pooled, want 192", len(seen))
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"e2nvm/internal/core"
-	"e2nvm/internal/dap"
 	"e2nvm/internal/nvm"
 	"e2nvm/internal/txn"
 )
@@ -59,12 +58,14 @@ func TestOpenWithBadGeometryIsErrBadSegment(t *testing.T) {
 // of unparsable content degrades to cluster 0 instead of crashing.
 func TestClusteredAllocatorOversizedValue(t *testing.T) {
 	model := trainNarrowModel(t, 32) // 4-byte segments
-	pool, err := dap.New(model.K())
+	dev, err := nvm.NewDevice(nvm.DefaultConfig(4, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Add(0, 1)
-	alloc := NewClusteredAllocator(core.NewManager(model), pool)
+	alloc, err := NewClusteredAllocator(model, model.K(), dev, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if _, err := alloc.Place(make([]byte, 100)); !errors.Is(err, ErrBadSegment) {
 		t.Fatalf("Place oversized: err = %v, want ErrBadSegment", err)

@@ -4,10 +4,13 @@
 // cluster-to-memory dynamic address pool; deletes reset a flag bit and
 // recycle the address back to the pool under its (re-predicted) cluster.
 //
-// The store also exports ClusteredAllocator, which adapts the same
-// model+pool machinery to the index.Allocator interface so that existing
-// NVM data structures (B+-Tree, FP-Tree, Path Hashing, WiscKey, NoveLSM)
-// can be "plugged into" E2-NVM exactly as in the paper's Figure 12.
+// The package also exports ClusteredAllocator, E2-NVM's implementation of
+// index.Allocator: the same predict-then-pool rule over its own address
+// pool and any Predictor (core.Model, a PNW model, ...). Existing NVM data
+// structures (B+-Tree, FP-Tree, Path Hashing, WiscKey, NoveLSM) are
+// "plugged into" E2-NVM through it, exactly as in the paper's Figure 12,
+// and the experiments place through it. The store and the allocator fill
+// their pools through one function, fillPool.
 package kvstore
 
 import (
@@ -311,15 +314,21 @@ func openWith(dev *nvm.Device, model *core.Model, opts Options, recovering bool)
 	// Populate the pool: free segments are assigned to the cluster their
 	// current content predicts (the initialization phase of §3.3.1),
 	// covering IndexFraction of the device; the rest joins via IndexMore.
-	limit := s.dataSegs
-	if opts.IndexFraction > 0 {
-		limit = int(opts.IndexFraction * float64(limit))
-		if limit < 1 {
-			limit = 1
+	// Recovery pools the segments its record scan finds free instead.
+	if !recovering {
+		limit := s.dataSegs
+		if opts.IndexFraction > 0 {
+			limit = int(opts.IndexFraction * float64(limit))
+			if limit < 1 {
+				limit = 1
+			}
 		}
-	}
-	if _, err := s.indexRange(0, limit); err != nil {
-		return nil, err
+		s.mu.Lock()
+		_, err := s.indexMoreLocked(limit)
+		s.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
 	}
 	// Memory-based padding draws its bit density from the memory locations
 	// incoming items will replace. The density is sampled into an atomic
@@ -373,43 +382,30 @@ func popcount8(b byte) int {
 	return n
 }
 
-// indexRange predicts segments [lo, hi) into the pool and advances the
-// indexed watermark.
-func (s *Store) indexRange(lo, hi int) (int, error) {
-	model := s.mgr.Current()
+// indexMoreLocked pools up to n segments past the indexed watermark under
+// the live model and advances the watermark. The range is claimed and
+// filled in one critical section, so concurrent IndexMore calls index
+// disjoint ranges and a retrain cannot reset the pool between the
+// prediction and the add. A prediction that fails (impossible for raw
+// full-width segments in practice) skips only its own slot and the
+// watermark still advances, so a retry cannot double-add the successes;
+// a range that pooled nothing stays unclaimed. Callers hold s.mu.
+func (s *Store) indexMoreLocked(n int) (int, error) {
+	lo, hi := s.indexed, s.indexed+n
 	if hi > s.dataSegs {
 		hi = s.dataSegs
 	}
-	var imgs [][]byte
+	addrs := make([]int, 0, hi-lo)
 	for addr := lo; addr < hi; addr++ {
-		img, err := s.dev.Peek(addr)
-		if err != nil {
-			return 0, err
-		}
-		imgs = append(imgs, img)
+		addrs = append(addrs, addr)
 	}
-	// Predict in parallel, then insert in address order so the pool's
-	// FIFO contents stay deterministic. A failed item (-1, impossible for
-	// raw full-width segments in practice) skips only its own slot: the
-	// rest of the batch's work is kept and the watermark still advances,
-	// so a retry cannot double-add the successes.
-	clusters, err := model.PredictBytesBatch(imgs)
-	added := 0
-	for i, c := range clusters {
-		if c < 0 {
-			continue
-		}
-		s.poolAdd(c, lo+i)
-		added++
+	added, err := fillPool(s.mgr.Current(), s.dev, addrs, func(c, addr int) {
+		s.poolAdd(s.clampClusterLocked(c), addr)
+	})
+	if added == 0 && err != nil {
+		return 0, err
 	}
-	s.mu.Lock()
-	if hi > s.indexed {
-		s.indexed = hi
-		if s.indexed > s.dataSegs {
-			s.indexed = s.dataSegs
-		}
-	}
-	s.mu.Unlock()
+	s.indexed = hi
 	return added, err
 }
 
@@ -429,9 +425,8 @@ func (s *Store) IndexMore(n int) (int, error) {
 		return 0, nil
 	}
 	s.mu.Lock()
-	lo := s.indexed
-	s.mu.Unlock()
-	return s.indexRange(lo, lo+n)
+	defer s.mu.Unlock()
+	return s.indexMoreLocked(n)
 }
 
 func segmentImages(dev *nvm.Device) ([][]float64, error) {
@@ -1214,21 +1209,14 @@ func (s *Store) rebuildPoolLocked(model *core.Model) error {
 		return err
 	}
 	s.poolK = model.K()
+	free := make([]int, 0, s.indexed)
 	for addr := 0; addr < s.indexed; addr++ {
-		if used[addr] {
-			continue
+		if !used[addr] {
+			free = append(free, addr)
 		}
-		img, err := s.dev.Peek(addr)
-		if err != nil {
-			return err
-		}
-		c, err := model.PredictBytes(img)
-		if err != nil {
-			return err
-		}
-		s.poolAdd(c, addr)
 	}
-	return nil
+	_, err := fillPool(model, s.dev, free, s.poolAdd)
+	return err
 }
 
 // Recover rebuilds a store from a device's persistent contents alone: it
@@ -1262,10 +1250,6 @@ func RecoverWith(dev *nvm.Device, model *core.Model, opts Options) (*Store, erro
 	if err != nil {
 		return nil, err
 	}
-	// openWith pooled every segment; re-scan and claim the live records.
-	if err := s.pool.Reset(model.K()); err != nil {
-		return nil, err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.indexed = s.dataSegs
@@ -1273,7 +1257,7 @@ func RecoverWith(dev *nvm.Device, model *core.Model, opts Options) (*Store, erro
 	// matching CRC; everything else — pre-use garbage, torn writes,
 	// cell-corrupted records — is treated as free space.
 	seqOf := map[uint64]uint32{}
-	var stale []int
+	var free, stale []int
 	var maxSeq uint32
 	haveSeq := false
 	for addr := 0; addr < s.dataSegs; addr++ {
@@ -1294,11 +1278,7 @@ func RecoverWith(dev *nvm.Device, model *core.Model, opts Options) (*Store, erro
 		}
 		key, seq, _, ok := parseRecord(img)
 		if !ok {
-			c, err := model.PredictBytes(img)
-			if err != nil {
-				return nil, err
-			}
-			s.poolAdd(c, addr)
+			free = append(free, addr)
 			continue
 		}
 		if !haveSeq || seqAfter(seq, maxSeq) {
@@ -1321,8 +1301,12 @@ func RecoverWith(dev *nvm.Device, model *core.Model, opts Options) (*Store, erro
 		s.tree.Put(key, int64(addr))
 		seqOf[key] = seq
 	}
-	// Invalidate the stale copies (best-effort: worn segments may refuse
-	// and are then retired) and return them to circulation.
+	// Pool the free space, then invalidate the stale copies (best-effort:
+	// worn segments may refuse and are then retired) and return them to
+	// circulation after it.
+	if _, err := fillPool(model, dev, free, s.poolAdd); err != nil {
+		return nil, err
+	}
 	for _, addr := range stale {
 		s.retireOrRecycleOldLocked(addr)
 	}
@@ -1334,39 +1318,110 @@ func RecoverWith(dev *nvm.Device, model *core.Model, opts Options) (*Store, erro
 
 // --------------------------------------------------- clustered allocator --
 
-// ClusteredAllocator adapts the E2-NVM model and pool to index.Allocator,
-// so existing NVM data structures place their values content-aware — the
-// "after plugging to E2-NVM" configuration of Figure 12.
-type ClusteredAllocator struct {
-	mgr  *core.Manager
-	pool *dap.Pool
+// Predictor maps a segment image to a cluster id. core.Model implements
+// it; so can any content model an allocator should place through (a PNW
+// model, a VAE+K-means pair).
+type Predictor interface {
+	PredictBytes(b []byte) (int, error)
 }
 
-// NewClusteredAllocator builds an allocator over a trained model manager
-// and a pool already populated with free segments.
-func NewClusteredAllocator(mgr *core.Manager, pool *dap.Pool) *ClusteredAllocator {
-	return &ClusteredAllocator{mgr: mgr, pool: pool}
+// fillPool peeks every address in addrs, predicts each image's cluster —
+// in parallel through PredictBytesBatch when pred has it — and calls
+// add(cluster, addr) in address order, so a pool's FIFO contents are
+// deterministic. A failed prediction skips only its own slot: the rest
+// are added, and the first error is returned with the number added. A
+// peek failure returns before anything is added. It is the one pool fill
+// behind the store's open, IndexMore, retrain and recovery and behind
+// NewClusteredAllocator.
+func fillPool(pred Predictor, dev *nvm.Device, addrs []int, add func(c, addr int)) (int, error) {
+	imgs := make([][]byte, len(addrs))
+	for i, addr := range addrs {
+		img, err := dev.Peek(addr)
+		if err != nil {
+			return 0, err
+		}
+		imgs[i] = img
+	}
+	var clusters []int
+	var firstErr error
+	if bp, ok := pred.(interface {
+		PredictBytesBatch([][]byte) ([]int, error)
+	}); ok {
+		clusters, firstErr = bp.PredictBytesBatch(imgs)
+	} else {
+		clusters = make([]int, len(imgs))
+		for i, img := range imgs {
+			c, err := pred.PredictBytes(img)
+			if err != nil {
+				c = -1
+				if firstErr == nil {
+					firstErr = fmt.Errorf("kvstore: segment %d: %w", addrs[i], err)
+				}
+			}
+			clusters[i] = c
+		}
+	}
+	added := 0
+	for i, c := range clusters {
+		if c < 0 {
+			continue
+		}
+		add(c, addrs[i])
+		added++
+	}
+	return added, firstErr
+}
+
+// ClusteredAllocator is E2-NVM's index.Allocator — Algorithm 1 outside the
+// store: Place predicts the value's cluster and takes that cluster's first
+// free segment from the allocator's own dynamic address pool; Release
+// re-predicts the segment's content and pools it there. Existing NVM data
+// structures place their values through it in the "after plugging to
+// E2-NVM" configuration of Figure 12, and the experiments place through
+// it. It is safe for concurrent use when its Predictor is.
+type ClusteredAllocator struct {
+	pred      Predictor
+	pool      *dap.Pool
+	fallbacks atomic.Int64
+}
+
+// NewClusteredAllocator builds a k-cluster pool over the free segments
+// addrs of dev, each pooled under the cluster pred predicts for its
+// current content.
+func NewClusteredAllocator(pred Predictor, k int, dev *nvm.Device, addrs []int) (*ClusteredAllocator, error) {
+	pool, err := dap.New(k)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := fillPool(pred, dev, addrs, func(c, addr int) { pool.Add(c, addr) }); err != nil {
+		return nil, err
+	}
+	return &ClusteredAllocator{pred: pred, pool: pool}, nil
 }
 
 // Place implements index.Allocator. Values wider than the model's segment
 // report ErrBadSegment instead of panicking.
 func (a *ClusteredAllocator) Place(value []byte) (int, error) {
-	cluster, err := a.mgr.Current().PredictBytes(value)
+	cluster, err := a.pred.PredictBytes(value)
 	if err != nil {
 		return 0, err
 	}
-	addr, _, ok := a.pool.Get(cluster)
+	addr, servedBy, ok := a.pool.Get(cluster)
 	if !ok {
 		return 0, index.ErrNoSpace
+	}
+	if servedBy != cluster {
+		a.fallbacks.Add(1)
 	}
 	return addr, nil
 }
 
-// Release implements index.Allocator.
+// Release implements index.Allocator. Content the predictor cannot parse
+// is pooled under cluster 0.
 func (a *ClusteredAllocator) Release(addr int, content []byte) {
 	cluster := 0
 	if content != nil {
-		if c, err := a.mgr.Current().PredictBytes(content); err == nil {
+		if c, err := a.pred.PredictBytes(content); err == nil {
 			cluster = c
 		}
 	}
@@ -1375,3 +1430,12 @@ func (a *ClusteredAllocator) Release(addr int, content []byte) {
 
 // FreeCount implements index.Allocator.
 func (a *ClusteredAllocator) FreeCount() int { return a.pool.Free() }
+
+// Fallbacks counts placements served by a different cluster than predicted
+// because the predicted cluster's free list was empty.
+func (a *ClusteredAllocator) Fallbacks() int { return int(a.fallbacks.Load()) }
+
+// Pool returns the allocator's dynamic address pool, for footprint
+// accounting and for callers that predict a cluster themselves (e.g. from
+// a padded partial item) and pop from it directly.
+func (a *ClusteredAllocator) Pool() *dap.Pool { return a.pool }

@@ -619,12 +619,13 @@ func TestClusteredAllocatorWithStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reserve the first 64 segments for tree pages: remove them from the
-	// pool by draining then re-adding the rest is awkward, so build a
-	// second device region instead: here we just hand the allocator the
-	// store's pool (value zone) and a plain free list for meta.
-	meta := index.NewFreeList(drain(s, 64))
-	alloc := NewClusteredAllocator(core.NewManager(s.Model()), s.Pool())
+	// Tree pages take the first 64 segments; values are placed through
+	// the allocator over the rest.
+	meta := index.NewFreeList(addrSpan(0, 64))
+	alloc, err := NewClusteredAllocator(s.Model(), s.Model().K(), dev, addrSpan(64, numSegs))
+	if err != nil {
+		t.Fatal(err)
+	}
 	tree, err := index.NewBPTree(dev, meta, alloc)
 	if err != nil {
 		t.Fatal(err)
@@ -651,16 +652,11 @@ func TestClusteredAllocatorWithStores(t *testing.T) {
 	}
 }
 
-// drain pops n addresses from the store's pool (helper to carve out a
-// metadata region).
-func drain(s *Store, n int) []int {
-	out := make([]int, 0, n)
-	for len(out) < n {
-		addr, _, ok := s.Pool().Get(0)
-		if !ok {
-			break
-		}
-		out = append(out, addr)
+// addrSpan returns [lo, hi).
+func addrSpan(lo, hi int) []int {
+	out := make([]int, 0, hi-lo)
+	for a := lo; a < hi; a++ {
+		out = append(out, a)
 	}
 	return out
 }

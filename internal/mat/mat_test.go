@@ -190,7 +190,7 @@ func TestEqualWithin(t *testing.T) {
 		want      bool
 	}{
 		{1.0, 1.0, 1e-9, true},
-		{1.0, 1.0 + 1e-12, 1e-9, true},      // absolute tolerance
+		{1.0, 1.0 + 1e-12, 1e-9, true},         // absolute tolerance
 		{1e12, 1e12 * (1 + 1e-12), 1e-9, true}, // relative tolerance at scale
 		{1.0, 1.1, 1e-9, false},
 		{0, 1e-12, 1e-9, true},

@@ -271,7 +271,7 @@ func (m *Manager) releaseLocked(t *Tx) {
 	clear(t.staged)
 	t.addrs = t.addrs[:0]
 	t.images = t.images[:0]
-	t.aborted = true // poison until Begin hands it out again
+	t.aborted = true               // poison until Begin hands it out again
 	m.txFree = append(m.txFree, t) // lint:allow hotpathalloc — bounded by the number of concurrent transactions
 }
 

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race stress lint lint-perf lint-self vet bench bench-e2e fault chaos experiments golden
+.PHONY: all build test race stress lint lint-perf lint-self vet bench bench-e2e fault chaos experiments golden determinism
 
 all: build lint test
 
@@ -54,6 +54,16 @@ stress:
 	$(GO) test -race -run 'TestConcurrentStress|TestRetrainConcurrentPut|TestScanReentrant' \
 		. ./internal/kvstore ./internal/shard
 
+# Worker-count independence: the VAE trainer against its one-sample-at-a-
+# time reference (every weight, gradient and Adam moment bit for bit), the
+# parallel EncodeAll against Encode, the split Adam step against a serial
+# loop and the seeded layer training, each at GOMAXPROCS 1, 2 and 4 — the
+# model code's results must not depend on how many goroutines compute them.
+determinism:
+	$(GO) test -count=1 -cpu 1,2,4 \
+		-run 'TestTrainerMatchesReference|TestEncodeAllMatchesEncode|TestAdamStepMatchesSerialLoop|TestDenseSameSeedBitIdentical' \
+		./internal/nn ./internal/vae
+
 # Fault-injection pipeline under the race detector: the nvm fault model,
 # kvstore detect/retry/retire/scrub tests, the crash matrix, the txn worn-
 # slot tests, pool retirement, and the record-codec fuzz seeds (see
@@ -76,7 +86,8 @@ chaos:
 # all four workloads at the default seed and -seconds, untraced end-to-end
 # pass plus traced per-layer pass, every read checked against a shadow map.
 # This regenerates the committed baseline every number in README.md,
-# DESIGN.md and EXPERIMENTS.md is quoted from (~3 min, mostly training).
+# DESIGN.md and EXPERIMENTS.md is quoted from (~2.5 min on 2 vCPU, about a
+# third of it model training).
 bench:
 	$(GO) run ./bench -out BENCH_PR14.json
 

@@ -14,13 +14,13 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"e2nvm/internal/bitvec"
 	"e2nvm/internal/infer"
 	"e2nvm/internal/kmeans"
 	"e2nvm/internal/padding"
+	"e2nvm/internal/par"
 	"e2nvm/internal/vae"
 )
 
@@ -520,42 +520,19 @@ func (m *Model) predictEach(imgs [][]byte, out []int, base int) (int, error) {
 // error wraps the first failure (by input order) with its index.
 func (m *Model) PredictBytesBatch(imgs [][]byte) ([]int, error) {
 	out := make([]int, len(imgs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(imgs) {
-		workers = len(imgs)
-	}
-	if workers <= 1 {
-		if idx, err := m.predictEach(imgs, out, 0); err != nil {
-			return out, fmt.Errorf("core: batch item %d: %w", idx, err)
-		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	idxs := make([]int, workers)
-	errs := make([]error, workers)
-	chunk := (len(imgs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(imgs) {
-			hi = len(imgs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			idxs[w], errs[w] = m.predictEach(imgs[lo:hi], out[lo:hi], lo)
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	var mu sync.Mutex
 	firstIdx, firstErr := -1, error(nil)
-	for w, err := range errs {
-		if err != nil && (firstErr == nil || idxs[w] < firstIdx) {
-			firstIdx, firstErr = idxs[w], err
+	par.For(len(imgs), len(imgs)*m.cfg.InputBits*m.vae.HiddenDim()/8, func(lo, hi int) {
+		idx, err := m.predictEach(imgs[lo:hi], out[lo:hi], lo)
+		if err == nil {
+			return
 		}
-	}
+		mu.Lock()
+		if firstErr == nil || idx < firstIdx {
+			firstIdx, firstErr = idx, err
+		}
+		mu.Unlock()
+	})
 	if firstErr != nil {
 		return out, fmt.Errorf("core: batch item %d: %w", firstIdx, firstErr)
 	}

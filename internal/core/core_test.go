@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"e2nvm/internal/bitvec"
 	"e2nvm/internal/padding"
@@ -421,5 +423,35 @@ func TestMemoryAwarePlacementBeatsArbitrary(t *testing.T) {
 	}
 	if float64(aware) > 0.7*float64(arbitrary) {
 		t.Fatalf("memory-aware placement flips %d not well below arbitrary %d", aware, arbitrary)
+	}
+}
+
+// TestTrainLeavesNoGoroutine checks that Train and PredictBytesBatch join
+// every worker they start: the model is wide enough that training,
+// encoding and the bulk prediction all fork when GOMAXPROCS allows.
+func TestTrainLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	r := rand.New(rand.NewSource(12))
+	data, _ := segmentSet(r, 96, 2, 256, 0.05)
+	cfg := quickCfg(256, 2)
+	cfg.Epochs, cfg.JointEpochs = 1, 1
+	m, err := Train(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs := make([][]byte, len(data))
+	for i, row := range data {
+		imgs[i] = BitsToBytes(row)
+	}
+	if _, err := m.PredictBytesBatch(imgs); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		// a worker's wg.Done precedes its exit by a moment
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Train, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"e2nvm/internal/core"
@@ -125,5 +126,62 @@ func TestMisconfiguredStoreOperationsReturnErrors(t *testing.T) {
 	}
 	if _, err := s.Delete(5); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("Delete with out-of-range address: err = %v, want ErrOutOfRange", err)
+	}
+}
+
+// TestMisdirectedIndexEntryIsCorrupt plants an index entry that points one
+// key at another key's segment — what a racing pool fill once produced.
+// Every read path must report ErrCorrupt naming both keys rather than
+// serve the other key's value.
+func TestMisdirectedIndexEntryIsCorrupt(t *testing.T) {
+	s := openStore(t, 32, 64, Options{})
+	if err := s.Put(1, []byte("value-one")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(2, []byte("value-two")); err != nil {
+		t.Fatal(err)
+	}
+	addr2, ok := s.tree.Get(2)
+	if !ok {
+		t.Fatal("key 2 not indexed")
+	}
+	s.tree.Put(1, addr2)
+
+	check := func(op string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s on a misdirected entry: err = %v, want ErrCorrupt", op, err)
+		}
+		for _, want := range []string{"key 2", "key 1"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s error %q does not name %s", op, err, want)
+			}
+		}
+	}
+	v, found, err := s.Get(1)
+	if found || v != nil {
+		t.Fatalf("Get(1) served %q from key 2's segment", v)
+	}
+	check("Get", err)
+	_, found, err = s.GetInto(1, nil)
+	if found {
+		t.Fatal("GetInto(1) reported found")
+	}
+	check("GetInto", err)
+	_, _, found, err = s.NextInto(1, 1, nil)
+	if found {
+		t.Fatal("NextInto(1) reported found")
+	}
+	check("NextInto", err)
+	err = s.Scan(0, 10, func(k uint64, v []byte) bool {
+		if k == 1 {
+			t.Fatalf("Scan delivered key 1 with %q", v)
+		}
+		return true
+	})
+	check("Scan", err)
+	// The key the segment really holds still reads back.
+	if v, found, err := s.Get(2); err != nil || !found || string(v) != "value-two" {
+		t.Fatalf("Get(2) = (%q, %v, %v)", v, found, err)
 	}
 }

@@ -778,7 +778,7 @@ func (s *Store) Get(key uint64) ([]byte, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	v, err := s.readValueLocked(int(addrV))
+	v, err := s.readValueLocked(key, int(addrV))
 	if err != nil {
 		return nil, false, err
 	}
@@ -800,7 +800,7 @@ func (s *Store) GetInto(key uint64, dst []byte) ([]byte, bool, error) {
 	if !ok {
 		return dst[:0], false, nil
 	}
-	v, err := s.readValueLocked(int(addrV))
+	v, err := s.readValueLocked(key, int(addrV))
 	if err != nil {
 		return dst[:0], false, err
 	}
@@ -813,10 +813,13 @@ func (s *Store) GetInto(key uint64, dst []byte) ([]byte, bool, error) {
 	return dst, true, nil
 }
 
-// readValueLocked reads the record at addr into the store's read scratch
-// and returns its value bytes. The result aliases s.getBuf and is valid
-// until the next read; callers hold s.mu.
-func (s *Store) readValueLocked(addr int) ([]byte, error) {
+// readValueLocked reads the record the index maps key to, at addr, into
+// the store's read scratch and returns its value bytes. A record that is
+// invalid, fails its CRC or holds another key reports ErrCorrupt, so an
+// index entry pointing at the wrong segment never serves another key's
+// value. The result aliases s.getBuf and is valid until the next read;
+// callers hold s.mu.
+func (s *Store) readValueLocked(key uint64, addr int) ([]byte, error) {
 	if cap(s.getBuf) < s.dev.SegmentSize() {
 		s.getBuf = make([]byte, s.dev.SegmentSize()) // lint:allow hotpathalloc — read scratch sized once to the segment size
 	}
@@ -834,6 +837,9 @@ func (s *Store) readValueLocked(addr int) ([]byte, error) {
 	rec := seg[:valueHeader+n]
 	if binary.LittleEndian.Uint32(rec[recCRCOff:]) != recordCRC(rec) {
 		return nil, fmt.Errorf("kvstore: CRC mismatch at segment %d: %w", addr, ErrCorrupt)
+	}
+	if got := binary.LittleEndian.Uint64(rec[recKeyOff:]); got != key {
+		return nil, fmt.Errorf("kvstore: segment %d holds key %d, not key %d: %w", addr, got, key, ErrCorrupt)
 	}
 	return rec[valueHeader:], nil
 }
@@ -920,7 +926,7 @@ func (s *Store) scanChunks(lo, hi uint64, fn func(key uint64, value []byte) bool
 		s.mu.Lock()
 		buf = buf[:0]
 		s.tree.Range(cursor, hi, func(k uint64, addrV int64) bool {
-			v, err := s.readValueLocked(int(addrV))
+			v, err := s.readValueLocked(k, int(addrV))
 			if err != nil {
 				readErr = err
 				return false
@@ -968,7 +974,7 @@ func (s *Store) NextInto(lo, hi uint64, dst []byte) (key uint64, value []byte, o
 	if !found {
 		return 0, dst[:0], false, nil
 	}
-	v, rerr := s.readValueLocked(int(addrV))
+	v, rerr := s.readValueLocked(key, int(addrV))
 	if rerr != nil {
 		return key, dst[:0], false, rerr
 	}

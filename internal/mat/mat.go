@@ -60,12 +60,32 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// MulVec computes y = M·x where x has length C; y has length R.
+// MulVec computes y = M·x where x has length C; y has length R. Each
+// y[i] sums its row's products in column order from +0. Four rows run
+// side by side, so four independent sums share each pass over x; every
+// row's own sum keeps its order, so the bits do not depend on the
+// interleaving.
 func (m *Matrix) MulVec(x, y []float64) {
 	if len(x) != m.C || len(y) != m.R {
 		panic(fmt.Sprintf("mat: MulVec shape mismatch M=%dx%d x=%d y=%d", m.R, m.C, len(x), len(y)))
 	}
-	for i := 0; i < m.R; i++ {
+	i := 0
+	for ; i+4 <= m.R; i += 4 {
+		r0 := m.Data[i*m.C : (i+1)*m.C]
+		r1 := m.Data[(i+1)*m.C : (i+2)*m.C]
+		r2 := m.Data[(i+2)*m.C : (i+3)*m.C]
+		r3 := m.Data[(i+3)*m.C : (i+4)*m.C]
+		r0, r1, r2, r3 = r0[:len(x)], r1[:len(x)], r2[:len(x)], r3[:len(x)]
+		var s0, s1, s2, s3 float64
+		for j, v := range x {
+			s0 += r0[j] * v
+			s1 += r1[j] * v
+			s2 += r2[j] * v
+			s3 += r3[j] * v
+		}
+		y[i], y[i+1], y[i+2], y[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.R; i++ {
 		row := m.Data[i*m.C : (i+1)*m.C]
 		s := 0.0
 		for j, v := range row {
@@ -83,15 +103,33 @@ func (m *Matrix) MulVecT(x, y []float64) {
 	for j := range y {
 		y[j] = 0
 	}
-	for i := 0; i < m.R; i++ {
-		xi := x[i]
-		if xi == 0 {
+	for i := 0; i < m.R; {
+		// Four rows with nonzero weights x[i..i+3] go in one pass over y,
+		// each y[j] adding their terms in row order, as four passes would.
+		if i+4 <= m.R && x[i] != 0 && x[i+1] != 0 && x[i+2] != 0 && x[i+3] != 0 {
+			x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
+			r0 := m.Data[i*m.C : (i+1)*m.C]
+			r1 := m.Data[(i+1)*m.C : (i+2)*m.C]
+			r2 := m.Data[(i+2)*m.C : (i+3)*m.C]
+			r3 := m.Data[(i+3)*m.C : (i+4)*m.C]
+			r0, r1, r2, r3 = r0[:len(y)], r1[:len(y)], r2[:len(y)], r3[:len(y)]
+			for j, yj := range y {
+				yj += r0[j] * x0
+				yj += r1[j] * x1
+				yj += r2[j] * x2
+				yj += r3[j] * x3
+				y[j] = yj
+			}
+			i += 4
 			continue
 		}
-		row := m.Data[i*m.C : (i+1)*m.C]
-		for j, v := range row {
-			y[j] += v * xi
+		if xi := x[i]; xi != 0 {
+			row := m.Data[i*m.C : (i+1)*m.C]
+			for j, v := range row {
+				y[j] += v * xi
+			}
 		}
+		i++
 	}
 }
 

@@ -203,3 +203,51 @@ func TestEqualWithin(t *testing.T) {
 		}
 	}
 }
+
+// TestInterleavedProductsMatchRowLoops requires MulVec and MulVecT, which
+// run four rows side by side, to give the bits of the plain one-row-at-a-
+// time loops: row counts that are and are not multiples of four, and x
+// with zeros (which MulVecT skips) between nonzero runs.
+func TestInterleavedProductsMatchRowLoops(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, shape := range [][2]int{{1, 5}, {4, 3}, {7, 9}, {64, 33}, {130, 17}} {
+		m := NewRandom(shape[0], shape[1], r)
+		x := make([]float64, m.C)
+		xt := make([]float64, m.R)
+		for i := range x {
+			x[i] = r.NormFloat64()
+		}
+		for i := range xt {
+			if r.Intn(5) > 0 {
+				xt[i] = r.NormFloat64()
+			}
+		}
+		y := make([]float64, m.R)
+		m.MulVec(x, y)
+		for i := 0; i < m.R; i++ {
+			s := 0.0
+			for j, v := range m.Row(i) {
+				s += v * x[j]
+			}
+			if math.Float64bits(s) != math.Float64bits(y[i]) {
+				t.Fatalf("%v MulVec row %d: %v, row loop %v", shape, i, y[i], s)
+			}
+		}
+		yt := make([]float64, m.C)
+		m.MulVecT(xt, yt)
+		want := make([]float64, m.C)
+		for i := 0; i < m.R; i++ {
+			if xt[i] == 0 {
+				continue
+			}
+			for j, v := range m.Row(i) {
+				want[j] += v * xt[i]
+			}
+		}
+		for j := range want {
+			if math.Float64bits(want[j]) != math.Float64bits(yt[j]) {
+				t.Fatalf("%v MulVecT col %d: %v, row loop %v", shape, j, yt[j], want[j])
+			}
+		}
+	}
+}

@@ -8,7 +8,8 @@
 // where the final term is the joint K-means clustering loss E2-NVM adds so
 // that latent features and cluster assignments are optimized together.
 // Training is plain SGD-style minibatch Adam with the reparameterization
-// trick; everything runs on the CPU with stdlib only.
+// trick; everything runs on the CPU with stdlib only, each minibatch spread
+// over the available cores (see trainer).
 package vae
 
 import (
@@ -18,6 +19,7 @@ import (
 
 	"e2nvm/internal/mat"
 	"e2nvm/internal/nn"
+	"e2nvm/internal/par"
 )
 
 // Config describes the model architecture and training hyperparameters.
@@ -174,12 +176,26 @@ func (m *Model) EncodeInto(x, h, mu []float64) []float64 {
 	return mu
 }
 
-// EncodeAll embeds every row of data.
+// EncodeAll embeds every row of data, spreading the rows over goroutines;
+// each row's latent is bit-identical to Encode's.
 func (m *Model) EncodeAll(data [][]float64) [][]float64 {
-	out := make([][]float64, len(data))
-	for i, x := range data {
-		out[i] = m.Encode(x)
+	// Checked before forking: a worker's panic would not reach the caller.
+	for _, x := range data {
+		if len(x) != m.cfg.InputDim {
+			panic(fmt.Sprintf("vae: Encode input %d, want %d", len(x), m.cfg.InputDim))
+		}
 	}
+	out := make([][]float64, len(data))
+	par.For(len(data), len(data)*m.cfg.InputDim*m.cfg.HiddenDim, func(lo, hi int) {
+		in := nn.Input{Ones: make([]int32, 0, m.cfg.InputDim)}
+		h := make([]float64, m.cfg.HiddenDim)
+		for i := lo; i < hi; i++ {
+			in.Set(data[i])
+			m.encH.ApplyInput(&in, h)
+			out[i] = make([]float64, m.cfg.LatentDim)
+			m.encMu.Apply(h, out[i])
+		}
+	})
 	return out
 }
 
@@ -204,76 +220,193 @@ func (m *Model) TrainBatch(batch [][]float64, centroids [][]float64) Loss {
 	if len(batch) == 0 {
 		return Loss{}
 	}
-	for _, l := range m.layers() {
-		l.ZeroGrad()
+	return m.newTrainer(len(batch)).step(batch, centroids)
+}
+
+// rowGrain is the number of ranges the gradient sum's For splits into;
+// each range takes the same share of every layer's rows.
+const rowGrain = 1 << 10
+
+// trainer runs batch-phased minibatch steps. Within one minibatch the
+// weights are fixed until the optimizer step, so the samples are
+// independent apart from their noise draws and the order of the gradient
+// sums. A step therefore (1) draws every sample's ε from the model's RNG
+// in sample order, (2) runs each sample's forward pass, loss terms and
+// per-layer δ on its own buffers, samples spread over goroutines, (3) sums
+// the gradients with each layer's rows spread over goroutines, every
+// element adding the samples in sample order, (4) runs the Adam update
+// spread over elements, and (5) sums the losses in sample order. The
+// result has the bits of running the samples one after another through
+// Forward/Backward. A trainer lives for one Fit (or one TrainBatch call)
+// and is not kept in the Model.
+type trainer struct {
+	m       *Model
+	samples []sample
+	// sampleWork and rowWork estimate one sample's multiply-adds in
+	// phases (2) and (3), for par.For's serial cut-off.
+	sampleWork, rowWork int
+
+	// each layer's δ and input per sample, as AccumulateRows takes them;
+	// grads[0].ins holds the images themselves (sample.in points there)
+	grads []layerGrad
+}
+
+// layerGrad pairs a layer with its per-sample δs and inputs.
+type layerGrad struct {
+	l      *nn.Dense
+	deltas [][]float64
+	ins    []nn.Input
+}
+
+// sample is one minibatch sample's forward activations, gradients and loss.
+type sample struct {
+	in     *nn.Input // the segment image, with its 1s when binary
+	eps    []float64 // reparameterization noise, drawn before the batch forks
+	h1     []float64 // encoder trunk output
+	dH1    []float64 // encoder trunk δ
+	mu, lv []float64 // latent mean and clamped log-variance
+	// ∂L/∂μ and ∂L/∂logvar, which are also the two identity heads' δ
+	gMu, gLV []float64
+	z, gZ    []float64 // latent sample and ∂L/∂z
+	gLVH     []float64 // the log-variance head's share of ∂L/∂h1
+	h2, dH2  []float64 // decoder hidden output and its δ
+	// the logits, overwritten by ∂L/∂logits: the identity output
+	// layer's δ
+	dO   []float64
+	loss Loss
+}
+
+// newTrainer allocates buffers for minibatches of up to n samples.
+func (m *Model) newTrainer(n int) *trainer {
+	in, hid, lat := m.cfg.InputDim, m.cfg.HiddenDim, m.cfg.LatentDim
+	t := &trainer{
+		m:          m,
+		samples:    make([]sample, n),
+		sampleWork: 3*in*hid + 6*hid*lat,
+		rowWork:    2*in*hid + 3*hid*lat,
 	}
-	var agg Loss
-	scale := 1.0 / float64(len(batch))
-	for _, x := range batch {
-		agg = addLoss(agg, m.backprop(x, centroids, scale))
+	slab := make([]float64, n*(in+5*hid+7*lat))
+	take := func(k int) []float64 {
+		b := slab[:k:k]
+		slab = slab[k:]
+		return b
 	}
+	ones := make([]int32, n*in)
+	t.grads = []layerGrad{{l: m.encH}, {l: m.encMu}, {l: m.encLV}, {l: m.decH}, {l: m.decO}}
+	for i := range t.grads {
+		t.grads[i].deltas = make([][]float64, n)
+		t.grads[i].ins = make([]nn.Input, n)
+	}
+	g := t.grads
+	for i := range t.samples {
+		s := &t.samples[i]
+		s.eps, s.mu, s.lv, s.gMu, s.gLV, s.z, s.gZ = take(lat), take(lat), take(lat), take(lat), take(lat), take(lat), take(lat)
+		s.h1, s.dH1, s.gLVH, s.h2, s.dH2 = take(hid), take(hid), take(hid), take(hid), take(hid)
+		s.dO = take(in)
+		s.in = &g[0].ins[i]
+		s.in.Ones = ones[i*in : i*in : (i+1)*in]
+		g[0].deltas[i] = s.dH1
+		g[1].deltas[i], g[1].ins[i].X = s.gMu, s.h1
+		g[2].deltas[i], g[2].ins[i].X = s.gLV, s.h1
+		g[3].deltas[i], g[3].ins[i].X = s.dH2, s.z
+		g[4].deltas[i], g[4].ins[i].X = s.dO, s.h2
+	}
+	return t
+}
+
+// step performs one optimizer step on batch (at most len(t.samples)
+// rows) and returns the batch-average loss.
+func (t *trainer) step(batch [][]float64, centroids [][]float64) Loss {
+	m := t.m
+	n := len(batch)
+	ss := t.samples[:n]
+	for i, x := range batch {
+		if len(x) != m.cfg.InputDim {
+			panic(fmt.Sprintf("vae: train input %d, want %d", len(x), m.cfg.InputDim))
+		}
+		for j := range ss[i].eps {
+			ss[i].eps[j] = m.rng.NormFloat64()
+		}
+	}
+	scale := 1.0 / float64(n)
+	par.For(n, n*t.sampleWork, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ss[i].in.Set(batch[i])
+			t.forwardBackward(&ss[i], centroids, scale)
+		}
+	})
+	par.For(rowGrain, n*t.rowWork, func(lo, hi int) {
+		for _, g := range t.grads {
+			r0, r1 := par.Band(lo, hi, rowGrain, g.l.Out)
+			g.l.AccumulateRows(r0, r1, g.deltas[:n], g.ins[:n])
+		}
+	})
 	m.opt.Step()
+	var agg Loss
+	for i := range ss {
+		agg = addLoss(agg, ss[i].loss)
+	}
 	return scaleLoss(agg, scale)
 }
 
-// backprop runs forward+backward for one sample, accumulating gradients
-// scaled by gradScale, and returns the sample's (unscaled) loss terms.
-func (m *Model) backprop(x []float64, centroids [][]float64, gradScale float64) Loss {
-	if len(x) != m.cfg.InputDim {
-		panic(fmt.Sprintf("vae: train input %d, want %d", len(x), m.cfg.InputDim))
-	}
+// forwardBackward runs one sample's forward pass and loss terms and
+// leaves every layer's δ in s, with the loss gradient scaled by
+// gradScale. It reads the weights and writes only s.
+func (t *trainer) forwardBackward(s *sample, centroids [][]float64, gradScale float64) {
+	m := t.m
+	x := s.in.X
 	// ---- forward ----
-	h1 := m.encH.Forward(x)
-	mu := append([]float64(nil), m.encMu.Forward(h1)...)
-	lv := append([]float64(nil), m.encLV.Forward(h1)...)
-	for i := range lv {
-		lv[i] = clamp(lv[i], -8, 8) // keep exp() sane early in training
+	m.encH.ApplyInput(s.in, s.h1)
+	m.encMu.Apply(s.h1, s.mu)
+	m.encLV.Apply(s.h1, s.lv)
+	for i := range s.lv {
+		s.lv[i] = clamp(s.lv[i], -8, 8) // keep exp() sane early in training
 	}
-	eps := make([]float64, len(mu))
-	z := make([]float64, len(mu))
-	for i := range z {
-		eps[i] = m.rng.NormFloat64()
-		z[i] = mu[i] + eps[i]*math.Exp(0.5*lv[i])
+	for i := range s.z {
+		s.z[i] = s.mu[i] + s.eps[i]*math.Exp(0.5*s.lv[i])
 	}
-	h2 := m.decH.Forward(z)
-	logits := append([]float64(nil), m.decO.Forward(h2)...)
+	m.decH.Apply(s.z, s.h2)
+	m.decO.Apply(s.h2, s.dO)
 
 	var loss Loss
 	// ---- reconstruction (sigmoid + BCE fused, numerically stable) ----
-	gradLogits := make([]float64, len(logits))
-	for i, l := range logits {
+	for i, l := range s.dO {
 		xi := x[i]
 		loss.Recon += bceWithLogit(l, xi)
-		gradLogits[i] = (sigmoid(l) - xi) * gradScale
+		s.dO[i] = (sigmoid(l) - xi) * gradScale
 	}
 	// ---- KL(q ‖ N(0,I)) ----
-	gradMu := make([]float64, len(mu))
-	gradLV := make([]float64, len(lv))
-	for i := range mu {
-		loss.KL += 0.5 * (mu[i]*mu[i] + math.Exp(lv[i]) - 1 - lv[i])
-		gradMu[i] = m.cfg.Beta * mu[i] * gradScale
-		gradLV[i] = m.cfg.Beta * 0.5 * (math.Exp(lv[i]) - 1) * gradScale
+	for i := range s.mu {
+		loss.KL += 0.5 * (s.mu[i]*s.mu[i] + math.Exp(s.lv[i]) - 1 - s.lv[i])
+		s.gMu[i] = m.cfg.Beta * s.mu[i] * gradScale
+		s.gLV[i] = m.cfg.Beta * 0.5 * (math.Exp(s.lv[i]) - 1) * gradScale
 	}
 	// ---- joint clustering term ----
 	if centroids != nil && m.cfg.Gamma > 0 {
-		c := nearestCentroid(mu, centroids)
-		loss.Cluster = mat.SqDist(mu, centroids[c])
-		for i := range mu {
-			gradMu[i] += 2 * m.cfg.Gamma * (mu[i] - centroids[c][i]) * gradScale
+		c := nearestCentroid(s.mu, centroids)
+		loss.Cluster = mat.SqDist(s.mu, centroids[c])
+		for i := range s.mu {
+			s.gMu[i] += 2 * m.cfg.Gamma * (s.mu[i] - centroids[c][i]) * gradScale
 		}
 	}
 	// ---- backward through the decoder to z ----
-	gradZ := m.decH.Backward(m.decO.Backward(gradLogits))
+	// decO is an identity layer, so its δ is ∂L/∂logits itself.
+	m.decO.W.MulVecT(s.dO, s.dH2)
+	m.decH.Delta(s.dH2, s.h2, s.dH2)
+	m.decH.W.MulVecT(s.dH2, s.gZ)
 	// Reparameterization: ∂z/∂μ = 1, ∂z/∂logvar = ½·ε·exp(½·logvar).
-	for i := range gradZ {
-		gradMu[i] += gradZ[i]
-		gradLV[i] += gradZ[i] * 0.5 * eps[i] * math.Exp(0.5*lv[i])
+	for i := range s.gZ {
+		s.gMu[i] += s.gZ[i]
+		s.gLV[i] += s.gZ[i] * 0.5 * s.eps[i] * math.Exp(0.5*s.lv[i])
 	}
 	// ---- backward through the two encoder heads into the trunk ----
-	gH1 := m.encMu.Backward(gradMu)
-	mat.AddScaled(gH1, 1, m.encLV.Backward(gradLV))
-	m.encH.Backward(gH1)
-	return loss
+	// The trunk's own input gradient is never needed, so it is not
+	// computed.
+	m.encMu.W.MulVecT(s.gMu, s.dH1)
+	m.encLV.W.MulVecT(s.gLV, s.gLVH)
+	mat.AddScaled(s.dH1, 1, s.gLVH)
+	m.encH.Delta(s.dH1, s.h1, s.dH1)
+	s.loss = loss
 }
 
 // Evaluate computes the average loss of data without updating parameters
@@ -327,6 +460,8 @@ func (m *Model) Fit(data [][]float64, opts FitOptions) ([]EpochLoss, error) {
 		opts.BatchSize = 32
 	}
 	history := make([]EpochLoss, 0, opts.Epochs)
+	t := m.newTrainer(min(opts.BatchSize, len(data)))
+	batch := make([][]float64, 0, opts.BatchSize)
 	idx := make([]int, len(data))
 	for i := range idx {
 		idx[i] = i
@@ -340,11 +475,11 @@ func (m *Model) Fit(data [][]float64, opts FitOptions) ([]EpochLoss, error) {
 			if hi > len(idx) {
 				hi = len(idx)
 			}
-			batch := make([][]float64, 0, hi-lo)
+			batch = batch[:0]
 			for _, i := range idx[lo:hi] {
 				batch = append(batch, data[i])
 			}
-			agg = addLoss(agg, m.TrainBatch(batch, opts.Centroids))
+			agg = addLoss(agg, t.step(batch, opts.Centroids))
 			batches++
 		}
 		el := EpochLoss{Epoch: e, Train: scaleLoss(agg, 1/float64(batches))}
